@@ -52,7 +52,6 @@ from .schedule import (
 from .walk import (
     CONVENTION_ABSTRACT,
     CONVENTION_PHYSICAL,
-    HamiltonianSpec,
     WalkConfig,
     evolve,
     hamiltonian_from_tessellation,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 import warnings
@@ -35,7 +34,7 @@ from .graph import (
     graph_from_json,
     greedy_tessellate,
 )
-from .schedule import compile_schedule, emit_schedule, feasibility_notes, validate_schedule
+from .schedule import SWITCHING_BUDGET_SECONDS, compile_schedule, emit_schedule, feasibility_notes, validate_schedule
 from .svgplot import distribution_svg
 from .walk import WalkConfig, evolve, initial_basis_state, probability_distribution
 
@@ -84,19 +83,6 @@ def _parse_dims(text: str) -> list[int]:
     if not dims:
         raise argparse.ArgumentTypeError(f"cannot parse lattice dimensions {text!r}; expected e.g. 3,3")
     return dims
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("SQW_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _UsageError(f"SQW_THREADS must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise _UsageError(f"SQW_THREADS must be a positive integer, got {raw!r}")
-    return value
 
 
 def _resolve_graph(args):
@@ -235,7 +221,7 @@ def cmd_circuit(args) -> int:
     tau = pulse_duration(args.theta, operating.coupling_on.kappa_total, reduce_period=True)
     budget_note = (
         "WARNING: flux pulses cannot settle within one interval"
-        if tau < 1e-7
+        if tau < SWITCHING_BUDGET_SECONDS
         else "interval fits the switching budget"
     )
     print(
@@ -321,7 +307,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        _thread_cap()
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -10,8 +10,12 @@ order fixes the order in which the walk's local operators are applied.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -31,9 +35,26 @@ __all__ = [
 ]
 
 
+_MAX_INDEX = np.iinfo(np.intp).max
+
+
 def _is_index(value) -> bool:
     # bool is an int subclass; JSON true/false must not pass as node indices
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _pair_keys(pairs: np.ndarray, node_count: int) -> np.ndarray:
+    """Key i*n + j of each low-high pair; -1 (no edge's key) where j lies outside the graph."""
+    keys = pairs[:, 0].astype(np.int64) * node_count + pairs[:, 1]
+    keys[pairs[:, 1] >= node_count] = -1
+    return keys
+
+
+def _among(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """Which of ``keys`` occur in ``sorted_keys``."""
+    if not sorted_keys.size:
+        return np.zeros(keys.shape, dtype=bool)
+    return sorted_keys[np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)] == keys
 
 
 @dataclass(frozen=True)
@@ -85,42 +106,87 @@ class Graph:
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)
 
+    @cached_property
+    def _edge_keys(self) -> np.ndarray:
+        # sorted, because the edges are
+        return _pair_keys(np.array(self.edges, dtype=np.intp).reshape(-1, 2), self.node_count)
 
-@dataclass(frozen=True)
+
 class Tessellation:
     """A candidate partition of the node set into 1- and 2-node elements.
 
-    Elements are normalized to sorted tuples in sorted order, so two
-    tessellations with the same elements compare equal regardless of the
-    order they were given in.  Whether the elements actually partition a
-    given graph's nodes is checked by :func:`validate_tessellation`.
+    ``pairs`` is a ``(p, 2)`` int array, each row ordered low-high and
+    the rows sorted; ``singletons`` is a sorted int array.  Both are
+    read-only, so two tessellations with the same elements compare
+    equal regardless of the order they were given in.  Whether the
+    elements actually partition a given graph's nodes is checked by
+    :func:`validate_tessellation`.
     """
 
-    elements: tuple[tuple[int, ...], ...]
+    __slots__ = ("pairs", "singletons", "_partition_size")
 
-    def __post_init__(self):
-        normalized = []
-        for element in self.elements:
+    def __init__(self, elements):
+        pairs, singletons = [], []
+        for element in elements:
             try:
                 nodes = tuple(sorted(element))
             except TypeError:
                 raise ValidationError(f"tessellation element {element!r} is not a node collection") from None
             if len(nodes) not in (1, 2):
                 raise ValidationError(f"tessellation element {element!r} must have 1 or 2 nodes")
-            if any(not _is_index(v) or v < 0 for v in nodes):
+            if any(not _is_index(v) or not 0 <= v <= _MAX_INDEX for v in nodes):
                 raise ValidationError(f"tessellation element {element!r} has invalid node indices")
             if len(nodes) == 2 and nodes[0] == nodes[1]:
                 raise ValidationError(f"tessellation element {element!r} repeats a node")
-            normalized.append(nodes)
-        object.__setattr__(self, "elements", tuple(sorted(normalized)))
+            if len(nodes) == 2:
+                pairs.append(nodes)
+            else:
+                singletons.append(nodes[0])
+        self._set(np.array(pairs, dtype=np.intp).reshape(-1, 2), np.array(singletons, dtype=np.intp))
+
+    @classmethod
+    def _from_pairs(cls, pairs, node_count: int) -> Tessellation:
+        """The given disjoint in-range pairs, with every other node of range(node_count) a singleton."""
+        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+        paired = np.zeros(node_count, dtype=bool)
+        paired[pairs] = True
+        t = cls.__new__(cls)
+        t._set(pairs, np.flatnonzero(~paired))
+        return t
+
+    def _set(self, pairs: np.ndarray, singletons: np.ndarray) -> None:
+        pairs = np.sort(pairs, axis=1)
+        # column-major, so each column is a contiguous index array for the kernel's gathers
+        self.pairs = np.asfortranarray(pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))])
+        self.singletons = np.sort(singletons)
+        self.pairs.flags.writeable = False
+        self.singletons.flags.writeable = False
+        self._partition_size = None
 
     @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(e for e in self.elements if len(e) == 2)
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        """All elements as sorted node tuples, in sorted order."""
+        return tuple(sorted([(v,) for v in self.singletons.tolist()] + list(map(tuple, self.pairs.tolist()))))
 
-    @property
-    def singletons(self) -> tuple[int, ...]:
-        return tuple(e[0] for e in self.elements if len(e) == 1)
+    def partitions(self, n: int) -> bool:
+        """True iff the elements partition range(n); the verdict is computed once."""
+        if self._partition_size is None:
+            nodes = np.concatenate((self.pairs.ravel(), self.singletons))
+            # nodes are non-negative, so n distinct values below n are exactly range(n)
+            distinct = nodes.size == 0 or (nodes.max() < nodes.size and np.bincount(nodes).max() == 1)
+            self._partition_size = nodes.size if distinct else -1
+        return self._partition_size == n
+
+    def __eq__(self, other):
+        if not isinstance(other, Tessellation):
+            return NotImplemented
+        return np.array_equal(self.pairs, other.pairs) and np.array_equal(self.singletons, other.singletons)
+
+    def __hash__(self):
+        return hash((self.pairs.tobytes(), self.singletons.tobytes()))
+
+    def __repr__(self):
+        return f"Tessellation({self.elements!r})"
 
 
 @dataclass(frozen=True)
@@ -159,19 +225,23 @@ def validate_tessellation(g: Graph, t: Tessellation) -> list[str]:
     Returns a list of human-readable violations; an empty list means the
     tessellation is valid.  Violations are data, not exceptions.
     """
+    violations = [] if t.partitions(g.node_count) else _partition_violations(t, g.node_count)
+    off_graph = t.pairs[~_among(_pair_keys(t.pairs, g.node_count), g._edge_keys)]
+    violations.extend(f"element {tuple(p)} is not an edge of the graph" for p in off_graph.tolist())
+    return violations
+
+
+def _partition_violations(t: Tessellation, node_count: int) -> list[str]:
     violations = []
     covered: set[int] = set()
-    edge_set = g.edge_set()
     for element in t.elements:
         for v in element:
-            if v >= g.node_count:
-                violations.append(f"element {element} references node {v} outside [0, {g.node_count})")
+            if v >= node_count:
+                violations.append(f"element {element} references node {v} outside [0, {node_count})")
             elif v in covered:
                 violations.append(f"node {v} appears in more than one element (second: {element})")
             covered.add(v)
-        if len(element) == 2 and element not in edge_set:
-            violations.append(f"element {element} is not an edge of the graph")
-    missing = set(range(g.node_count)) - covered
+    missing = set(range(node_count)) - covered
     if missing:
         violations.append(f"nodes {sorted(missing)} are not covered by any element")
     return violations
@@ -182,18 +252,11 @@ def validate_tessellation_set(g: Graph, ts: TessellationSet) -> list[str]:
     violations = []
     for k, t in enumerate(ts):
         violations.extend(f"tessellation {k}: {msg}" for msg in validate_tessellation(g, t))
-    covered = {pair for t in ts for pair in t.pairs}
-    uncovered = g.edge_set() - covered
-    if uncovered:
-        violations.append(f"edges {sorted(uncovered)} are not covered by any tessellation")
+    covered = np.concatenate([np.empty(0, dtype=np.int64)] + [_pair_keys(t.pairs, g.node_count) for t in ts])
+    uncovered = np.flatnonzero(~_among(g._edge_keys, np.sort(covered)))
+    if uncovered.size:
+        violations.append(f"edges {[g.edges[k] for k in uncovered.tolist()]} are not covered by any tessellation")
     return violations
-
-
-def _pad_with_singletons(pairs, node_count: int) -> Tessellation:
-    matched = {v for pair in pairs for v in pair}
-    elements = [tuple(p) for p in pairs]
-    elements.extend((v,) for v in range(node_count) if v not in matched)
-    return Tessellation(tuple(elements))
 
 
 def generate_path_tessellations(node_count: int) -> tuple[Graph, TessellationSet]:
@@ -201,27 +264,11 @@ def generate_path_tessellations(node_count: int) -> tuple[Graph, TessellationSet
 
     Tessellation 0 pairs nodes (2k, 2k+1), tessellation 1 pairs
     (2k+1, 2k+2); boundary nodes left over by either pairing become
-    singletons.
+    singletons.  This is the 1-D lattice.
     """
     if node_count < 1:
         raise ValidationError("path needs at least one node")
-    g = build_graph(node_count, [(i, i + 1) for i in range(node_count - 1)])
-    even = [(i, i + 1) for i in range(0, node_count - 1, 2)]
-    odd = [(i, i + 1) for i in range(1, node_count - 1, 2)]
-    ts = TessellationSet(
-        (
-            _pad_with_singletons(even, node_count),
-            _pad_with_singletons(odd, node_count),
-        )
-    )
-    return g, ts
-
-
-def _row_major_strides(dims: list[int]) -> list[int]:
-    strides = [1] * len(dims)
-    for axis in range(len(dims) - 2, -1, -1):
-        strides[axis] = strides[axis + 1] * dims[axis + 1]
-    return strides
+    return generate_lattice_tessellations([node_count])
 
 
 def generate_lattice_tessellations(dims) -> tuple[Graph, TessellationSet]:
@@ -232,41 +279,30 @@ def generate_lattice_tessellations(dims) -> tuple[Graph, TessellationSet]:
     into the tessellation selected by the parity of the node's
     coordinate sum.  Both parities together cover every edge of the
     axis, every interior node is paired in all 2N tessellations, and the
-    1-D case reduces to the path construction.
+    1-D case is the path construction.
     """
     dims = [int(d) for d in dims]
     if not dims:
         raise ValidationError("lattice needs at least one dimension")
     if any(d < 1 for d in dims):
         raise ValidationError(f"lattice dimensions must be >= 1, got {dims}")
-    strides = _row_major_strides(dims)
-    node_count = 1
-    for d in dims:
-        node_count *= d
+    nodes = np.arange(math.prod(dims), dtype=np.intp).reshape(dims)
+    parity = sum(np.ix_(*(np.arange(d) for d in dims))) % 2
 
-    def coords_of(index: int) -> list[int]:
-        out = []
-        for axis in range(len(dims)):
-            out.append((index // strides[axis]) % dims[axis])
-        return out
-
-    edges = []
-    for v in range(node_count):
-        coords = coords_of(v)
-        for axis in range(len(dims)):
-            if coords[axis] + 1 < dims[axis]:
-                edges.append((v, v + strides[axis]))
-    g = build_graph(node_count, edges)
-
-    tessellations = []
+    axis_pairs = []
     for axis in range(len(dims)):
-        for parity in (0, 1):
-            pairs = []
-            for v in range(node_count):
-                coords = coords_of(v)
-                if coords[axis] + 1 < dims[axis] and sum(coords) % 2 == parity:
-                    pairs.append((v, v + strides[axis]))
-            tessellations.append(_pad_with_singletons(pairs, node_count))
+        # each node that has an axis-successor, beside that successor
+        head = tuple(slice(0, -1) if a == axis else slice(None) for a in range(len(dims)))
+        tail = tuple(slice(1, None) if a == axis else slice(None) for a in range(len(dims)))
+        axis_pairs.append((nodes[head], nodes[tail], parity[head]))
+
+    edges = np.concatenate([np.stack((lo.ravel(), hi.ravel()), axis=1) for lo, hi, _ in axis_pairs])
+    g = build_graph(nodes.size, edges.tolist())
+    tessellations = [
+        Tessellation._from_pairs(np.stack((lo[par == p], hi[par == p]), axis=1), nodes.size)
+        for lo, hi, par in axis_pairs
+        for p in (0, 1)
+    ]
     return g, TessellationSet(tuple(tessellations))
 
 
@@ -301,7 +337,7 @@ def greedy_tessellate(g: Graph) -> TessellationSet:
                 matching.append((i, j))
                 used.add(i)
                 used.add(j)
-        tessellations.append(_pad_with_singletons(matching, g.node_count))
+        tessellations.append(Tessellation._from_pairs(matching, g.node_count))
         uncovered.difference_update(matching)
         if len(tessellations) > max_degree + 1:
             raise ValidationError(
@@ -309,7 +345,7 @@ def greedy_tessellate(g: Graph) -> TessellationSet:
                 "supply explicit tessellations for this graph"
             )
     if not tessellations:
-        tessellations.append(_pad_with_singletons([], g.node_count))
+        tessellations.append(Tessellation._from_pairs([], g.node_count))
     if len(tessellations) > max_degree > 0:
         warnings.warn(
             f"needed {len(tessellations)} tessellations for maximum degree {max_degree}",

@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .graph import TessellationSet
-from .walk import HamiltonianSpec, hamiltonian_spec_from_elements
+from .graph import Tessellation, TessellationSet
 
 __all__ = ["dense_hamiltonian", "taylor_expm", "brute_force_evolve"]
 
@@ -20,17 +19,20 @@ MAX_DENSE_DIMENSION = 256
 MAX_EVOLVE_DIMENSION = 64
 
 
-def dense_hamiltonian(h: HamiltonianSpec) -> np.ndarray:
-    """Explicit reflection matrix 2*sum |a><a| - I for a tessellation."""
-    if h.dimension > MAX_DENSE_DIMENSION:
-        raise ValidationError(f"dense oracle limited to dimension {MAX_DENSE_DIMENSION}, got {h.dimension}")
-    m = -np.eye(h.dimension)
-    for i, j in h.pairs:
+def dense_hamiltonian(t: Tessellation) -> np.ndarray:
+    """Explicit reflection matrix 2*sum |a><a| - I for a tessellation of its own node range."""
+    n = 2 * len(t.pairs) + len(t.singletons)
+    if n > MAX_DENSE_DIMENSION:
+        raise ValidationError(f"dense oracle limited to dimension {MAX_DENSE_DIMENSION}, got {n}")
+    if not t.partitions(n):
+        raise ValidationError(f"pairs and singletons must partition the node range [0, {n})")
+    m = -np.eye(n)
+    for i, j in t.pairs.tolist():
         m[i, i] += 1.0
         m[j, j] += 1.0
         m[i, j] += 1.0
         m[j, i] += 1.0
-    for i in h.singletons:
+    for i in t.singletons.tolist():
         m[i, i] += 2.0
     return m
 
@@ -86,7 +88,9 @@ def brute_force_evolve(state, ts: TessellationSet, theta: float, steps: int) -> 
         raise ValidationError("steps must be non-negative")
     operators = []
     for t in ts:
-        h = dense_hamiltonian(hamiltonian_spec_from_elements(t.elements, n))
+        h = dense_hamiltonian(t)
+        if h.shape[0] != n:
+            raise ValidationError(f"tessellation covers {h.shape[0]} nodes, state has dimension {n}")
         operators.append(taylor_expm(h, 1j * theta))
     for _ in range(steps):
         for u in operators:

@@ -86,10 +86,6 @@ class CompiledRun:
     tessellations: TessellationSet
     theta: float
 
-    @property
-    def predicted_unitary_spec(self) -> tuple[TessellationSet, float]:
-        return self.tessellations, self.theta
-
 
 def compile_schedule(
     g: Graph,
@@ -116,11 +112,12 @@ def compile_schedule(
         raise ValidationError(
             f"theta {theta!r} yields non-positive interval length {tau!r}; use an angle with a positive reduced value"
         )
+    on_pairs = [tuple(map(tuple, t.pairs.tolist())) for t in ts]
     intervals = []
     index = 0
     for _ in range(steps):
-        for t in ts:
-            intervals.append(PulseInterval(index=index, on_pairs=t.pairs))
+        for pairs in on_pairs:
+            intervals.append(PulseInterval(index=index, on_pairs=pairs))
             index += 1
     schedule = PulseSchedule(
         tau_seconds=tau,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -29,10 +28,8 @@ from .graph import Graph, Tessellation, TessellationSet, validate_tessellation
 __all__ = [
     "CONVENTION_ABSTRACT",
     "CONVENTION_PHYSICAL",
-    "HamiltonianSpec",
     "WalkConfig",
     "hamiltonian_from_tessellation",
-    "hamiltonian_spec_from_elements",
     "initial_basis_state",
     "local_unitary",
     "evolve",
@@ -45,43 +42,6 @@ CONVENTION_PHYSICAL = "physical"
 
 # together these bound how far a state stored as float64 may drift from unit norm
 _NORM_ATOL = 1e-8
-
-
-@dataclass(frozen=True)
-class HamiltonianSpec:
-    """Structural form of a tessellation's reflection operator.
-
-    ``pairs`` and ``singletons`` partition [0, dimension).  The dense
-    realization is 2*sum |a><a| - I with |a> = (|i> + |j>)/sqrt(2) for a
-    pair and |a> = |i> for a singleton, hence H^2 = I.
-    """
-
-    dimension: int
-    pairs: tuple[tuple[int, int], ...]
-    singletons: tuple[int, ...]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for i, j in self.pairs:
-            if i == j:
-                raise ValidationError(f"pair ({i}, {j}) repeats a node")
-            seen.update((i, j))
-        seen.update(self.singletons)
-        covered = len(self.singletons) + 2 * len(self.pairs)
-        if covered != len(seen) or seen != set(range(self.dimension)):
-            raise ValidationError("pairs and singletons must partition the node range")
-
-    @cached_property
-    def _pair_rows(self) -> np.ndarray:
-        return np.fromiter((p[0] for p in self.pairs), dtype=np.intp, count=len(self.pairs))
-
-    @cached_property
-    def _pair_cols(self) -> np.ndarray:
-        return np.fromiter((p[1] for p in self.pairs), dtype=np.intp, count=len(self.pairs))
-
-    @cached_property
-    def _singleton_index(self) -> np.ndarray:
-        return np.fromiter(self.singletons, dtype=np.intp, count=len(self.singletons))
 
 
 @dataclass(frozen=True)
@@ -101,19 +61,23 @@ class WalkConfig:
             raise ValidationError(f"convention must be 'abstract' or 'physical', got {self.convention!r}")
 
 
-def hamiltonian_spec_from_elements(elements, dimension: int) -> HamiltonianSpec:
-    """Build a HamiltonianSpec from raw tessellation elements (partition-checked only)."""
-    pairs = tuple(tuple(e) for e in elements if len(e) == 2)
-    singletons = tuple(e[0] for e in elements if len(e) == 1)
-    return HamiltonianSpec(dimension, pairs, singletons)
+def hamiltonian_from_tessellation(g: Graph, t: Tessellation) -> Tessellation:
+    """The tessellation itself, once validated against its graph.
 
-
-def hamiltonian_from_tessellation(g: Graph, t: Tessellation) -> HamiltonianSpec:
-    """Reflection-operator spec for a tessellation, validated against its graph."""
+    A tessellation determines its reflection operator
+    H = 2*sum |a><a| - I, with |a> = (|i> + |j>)/sqrt(2) for a pair and
+    |a> = |i> for a singleton, hence H^2 = I.
+    """
     violations = validate_tessellation(g, t)
     if violations:
         raise ValidationError("invalid tessellation: " + "; ".join(violations))
-    return hamiltonian_spec_from_elements(t.elements, g.node_count)
+    return t
+
+
+def _require_partition(t: Tessellation, n: int) -> Tessellation:
+    if not t.partitions(n):
+        raise ValidationError(f"pairs and singletons must partition the node range [0, {n})")
+    return t
 
 
 def initial_basis_state(n: int, node: int) -> np.ndarray:
@@ -125,12 +89,10 @@ def initial_basis_state(n: int, node: int) -> np.ndarray:
     return state
 
 
-def _as_state(state, dimension: int | None = None) -> np.ndarray:
+def _as_state(state) -> np.ndarray:
     psi = np.asarray(state, dtype=complex)
     if psi.ndim != 1:
         raise ValidationError("state must be a one-dimensional amplitude vector")
-    if dimension is not None and psi.shape[0] != dimension:
-        raise ValidationError(f"state has dimension {psi.shape[0]}, expected {dimension}")
     norm_sq = float(np.vdot(psi, psi).real)
     # inverted comparison so NaN amplitudes are rejected too
     if not abs(norm_sq - 1.0) <= _NORM_ATOL:
@@ -138,25 +100,26 @@ def _as_state(state, dimension: int | None = None) -> np.ndarray:
     return psi
 
 
-def local_unitary(state, h: HamiltonianSpec, cfg: WalkConfig) -> np.ndarray:
-    """Apply exp(i*theta*H) for one tessellation.
+def local_unitary(state, t: Tessellation, cfg: WalkConfig) -> np.ndarray:
+    """Apply exp(i*theta*H) for one tessellation of the state's nodes.
 
     Pairs get the analytic 2x2 rotation; singletons get exp(i*theta)
     under the abstract convention and 1 under the physical one.
     """
-    psi = _as_state(state, h.dimension)
+    psi = _as_state(state)
+    _require_partition(t, psi.shape[0])
     out = psi.copy()
     c = math.cos(cfg.theta)
     s = math.sin(cfg.theta)
-    if h.pairs:
-        rows = h._pair_rows
-        cols = h._pair_cols
+    if len(t.pairs):
+        rows = t.pairs[:, 0]
+        cols = t.pairs[:, 1]
         a = out[rows]
         b = out[cols]
         out[rows] = c * a + 1j * s * b
         out[cols] = 1j * s * a + c * b
-    if cfg.convention == CONVENTION_ABSTRACT and h.singletons:
-        out[h._singleton_index] *= complex(c, s)
+    if cfg.convention == CONVENTION_ABSTRACT and len(t.singletons):
+        out[t.singletons] *= complex(c, s)
     return out
 
 
@@ -180,13 +143,13 @@ def evolve(
     if graph is not None:
         if graph.node_count != n:
             raise ValidationError(f"graph has {graph.node_count} nodes but state has dimension {n}")
-        specs = [hamiltonian_from_tessellation(graph, t) for t in ts]
+        tessellations = [hamiltonian_from_tessellation(graph, t) for t in ts]
     else:
-        specs = [hamiltonian_spec_from_elements(t.elements, n) for t in ts]
+        tessellations = [_require_partition(t, n) for t in ts]
     history = [psi.copy()] if keep_history else None
     for _ in range(cfg.steps):
-        for h in specs:
-            psi = local_unitary(psi, h, cfg)
+        for t in tessellations:
+            psi = local_unitary(psi, t, cfg)
         if keep_history:
             history.append(psi.copy())
     if keep_history:

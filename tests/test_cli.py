@@ -129,14 +129,6 @@ class TestWalkCommand:
     def test_missing_file_is_domain_error(self, tmp_path):
         assert main(["walk", "--graph", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
-    def test_bad_threads_env_is_usage_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SQW_THREADS", "zero")
-        assert main(["walk", "--path", "3", "--out", str(tmp_path)]) == 1
-
-    def test_threads_env_accepted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SQW_THREADS", "4")
-        assert main(["walk", "--path", "3", "--out", str(tmp_path)]) == 0
-
 
 class TestCircuitCommand:
     def test_stock_report_numbers(self, tmp_path, capsys):

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import random
 import warnings
 
@@ -264,7 +266,7 @@ class TestGreedyTessellate:
                 ts = greedy_tessellate(g)
             assert validate_tessellation_set(g, ts) == []
             assert len(ts) <= g.max_degree() + 1
-            covered = {p for t in ts for p in t.pairs}
+            covered = {tuple(p) for t in ts for p in t.pairs.tolist()}
             assert covered == set(g.edges)
 
 
@@ -309,3 +311,62 @@ class TestGraphJson:
             graph_from_json('{"nodes": 2, "edges": [[0, 1]], "tessellations": [[3]]}')
         with pytest.raises(ValidationError):
             graph_from_json('{"nodes": 2, "edges": [[0, 1]], "tessellations": "all"}')
+
+
+def per_node_path(n):
+    """The path built pair by pair: edges, then each tessellation's sorted elements."""
+    edges = [(i, i + 1) for i in range(n - 1)]
+    tessellations = []
+    for first in (0, 1):
+        pairs = [(i, i + 1) for i in range(first, n - 1, 2)]
+        matched = {v for pair in pairs for v in pair}
+        tessellations.append(tuple(sorted(pairs + [(v,) for v in range(n) if v not in matched])))
+    return tuple(edges), tessellations
+
+
+def per_node_lattice(dims):
+    """The lattice built node by node from row-major coordinates: edges, then each tessellation's elements."""
+    strides = [1] * len(dims)
+    for axis in range(len(dims) - 2, -1, -1):
+        strides[axis] = strides[axis + 1] * dims[axis + 1]
+    node_count = math.prod(dims)
+
+    def coords_of(index):
+        return [(index // strides[axis]) % dims[axis] for axis in range(len(dims))]
+
+    edges = []
+    for v in range(node_count):
+        coords = coords_of(v)
+        for axis in range(len(dims)):
+            if coords[axis] + 1 < dims[axis]:
+                edges.append((v, v + strides[axis]))
+    tessellations = []
+    for axis in range(len(dims)):
+        for parity in (0, 1):
+            pairs = []
+            for v in range(node_count):
+                coords = coords_of(v)
+                if coords[axis] + 1 < dims[axis] and sum(coords) % 2 == parity:
+                    pairs.append((v, v + strides[axis]))
+            matched = {v for pair in pairs for v in pair}
+            tessellations.append(tuple(sorted(pairs + [(v,) for v in range(node_count) if v not in matched])))
+    return tuple(sorted(edges)), tessellations
+
+
+class TestGeneratorsMatchPerNodeConstruction:
+    # pair and tessellation order fix the bytes of graph and schedule JSON, so equality is exact
+
+    def test_paths(self):
+        for n in range(1, 41):
+            g, ts = generate_path_tessellations(n)
+            edges, elements = per_node_path(n)
+            assert g.edges == edges
+            assert [t.elements for t in ts] == elements
+
+    def test_lattices(self):
+        for rank in (1, 2, 3):
+            for dims in itertools.product(range(1, 6), repeat=rank):
+                g, ts = generate_lattice_tessellations(dims)
+                edges, elements = per_node_lattice(list(dims))
+                assert g.edges == edges, dims
+                assert [t.elements for t in ts] == elements, dims

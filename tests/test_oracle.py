@@ -5,25 +5,24 @@ import numpy as np
 import pytest
 
 from sqwbench.errors import NumericError, ValidationError
-from sqwbench.graph import generate_path_tessellations, greedy_tessellate
+from sqwbench.graph import Tessellation, generate_path_tessellations, greedy_tessellate
 from sqwbench.oracle import brute_force_evolve, dense_hamiltonian, taylor_expm
-from sqwbench.walk import HamiltonianSpec, hamiltonian_spec_from_elements
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 class TestDenseHamiltonian:
     def test_single_pair_is_sigma_x(self):
-        h = HamiltonianSpec(2, ((0, 1),), ())
+        h = Tessellation(((0, 1),))
         assert np.array_equal(dense_hamiltonian(h), SIGMA_X)
 
     def test_single_singleton(self):
-        h = HamiltonianSpec(1, (), (0,))
+        h = Tessellation(((0,),))
         assert np.array_equal(dense_hamiltonian(h), np.array([[1.0]]))
 
     def test_path5_red_tessellation_block_structure(self):
         _, ts = generate_path_tessellations(5)
-        h = hamiltonian_spec_from_elements(ts[0].elements, 5)
+        h = ts[0]
         expected = np.zeros((5, 5))
         expected[0:2, 0:2] = SIGMA_X
         expected[2:4, 2:4] = SIGMA_X
@@ -42,13 +41,13 @@ class TestDenseHamiltonian:
                     elements.append((nodes.pop(), nodes.pop()))
                 else:
                     elements.append((nodes.pop(),))
-            h = hamiltonian_spec_from_elements(elements, n)
+            h = Tessellation(elements)
             m = dense_hamiltonian(h)
             assert np.max(np.abs(m @ m - np.eye(n))) < 1e-13
 
     def test_oversize_rejected(self):
         pairs = tuple((2 * k, 2 * k + 1) for k in range(150))
-        h = HamiltonianSpec(300, pairs, ())
+        h = Tessellation(pairs)
         with pytest.raises(ValidationError):
             dense_hamiltonian(h)
 
@@ -77,7 +76,7 @@ class TestTaylorExpm:
     def test_unitarity_for_reflection_generators(self):
         _, ts = generate_path_tessellations(9)
         for t in ts:
-            h = dense_hamiltonian(hamiltonian_spec_from_elements(t.elements, 9))
+            h = dense_hamiltonian(t)
             u = taylor_expm(h, 1j * 1.2345)
             assert np.max(np.abs(u.conj().T @ u - np.eye(9))) < 1e-11
 

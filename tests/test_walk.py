@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqwbench import walk
 from sqwbench.errors import ValidationError
 from sqwbench.graph import (
     Tessellation,
+    TessellationSet,
     build_graph,
     generate_lattice_tessellations,
     generate_path_tessellations,
@@ -19,7 +21,6 @@ from sqwbench.oracle import brute_force_evolve, dense_hamiltonian, taylor_expm
 from sqwbench.walk import (
     CONVENTION_ABSTRACT,
     CONVENTION_PHYSICAL,
-    HamiltonianSpec,
     WalkConfig,
     evolve,
     hamiltonian_from_tessellation,
@@ -34,7 +35,7 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 def operator_matrix(h, cfg):
     """Dense matrix of the local unitary, one basis column at a time."""
-    n = h.dimension
+    n = 2 * len(h.pairs) + len(h.singletons)
     cols = []
     for k in range(n):
         cols.append(local_unitary(initial_basis_state(n, k), h, cfg))
@@ -45,8 +46,8 @@ class TestHamiltonianSpec:
     def test_path5_red(self):
         g, ts = generate_path_tessellations(5)
         h = hamiltonian_from_tessellation(g, ts[0])
-        assert h.pairs == ((0, 1), (2, 3))
-        assert h.singletons == (4,)
+        assert h.pairs.tolist() == [[0, 1], [2, 3]]
+        assert h.singletons.tolist() == [4]
 
     def test_single_node(self):
         g, ts = generate_path_tessellations(1)
@@ -66,7 +67,7 @@ class TestHamiltonianSpec:
 
     def test_partition_violation_rejected(self):
         with pytest.raises(ValidationError):
-            HamiltonianSpec(3, ((0, 1),), (1,))
+            local_unitary(initial_basis_state(3, 0), Tessellation(((0, 1), (1,))), WalkConfig(0.3))
 
 
 class TestLocalUnitary:
@@ -304,3 +305,35 @@ class TestWalkConfig:
             WalkConfig(theta=1.0, steps=-1)
         with pytest.raises(ValidationError):
             WalkConfig(theta=1.0, convention="sideways")
+
+
+# each fails to partition range(4) in one way
+NON_PARTITIONS_OF_4 = {
+    "node in two pairs": ((0, 1), (1, 2), (3,)),
+    "missing node": ((0, 1), (2,)),
+    "node out of range": ((0, 1), (2, 3), (4,)),
+}
+
+
+def kernel_operand(elements, n):
+    """What local_unitary is handed for ``elements`` on n nodes when no graph is at hand.
+
+    The kernel takes the tessellation itself; where a separate operator
+    spec is its operand instead, that spec is built from the elements.
+    """
+    t = Tessellation(elements)
+    build_spec = getattr(walk, "hamiltonian_spec_from_elements", None)
+    return t if build_spec is None else build_spec(t.elements, n)
+
+
+class TestPartitionGuarantee:
+    @pytest.mark.parametrize("elements", NON_PARTITIONS_OF_4.values(), ids=NON_PARTITIONS_OF_4.keys())
+    def test_local_unitary_rejects_non_partition(self, elements):
+        with pytest.raises(ValidationError):
+            local_unitary(initial_basis_state(4, 0), kernel_operand(elements, 4), WalkConfig(0.3))
+
+    @pytest.mark.parametrize("elements", NON_PARTITIONS_OF_4.values(), ids=NON_PARTITIONS_OF_4.keys())
+    def test_graph_free_evolve_rejects_non_partition(self, elements):
+        ts = TessellationSet((Tessellation(((0, 1), (2, 3))), Tessellation(elements)))
+        with pytest.raises(ValidationError):
+            evolve(initial_basis_state(4, 0), ts, WalkConfig(0.3, 1))
