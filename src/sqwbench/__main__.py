@@ -1,0 +1,8 @@
+"""``python -m sqwbench``: run the command-line front end."""
+
+import sys
+
+from . import cli
+
+if __name__ == "__main__":
+    sys.exit(cli.main())

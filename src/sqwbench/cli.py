@@ -1,8 +1,8 @@
 """Command-line front end: walk runs, circuit reports, schedule compilation.
 
-Exit codes: 0 success, 1 usage error, 2 domain/validation error,
-3 numeric failure.  All emitted CSV/JSON files are byte-deterministic
-(floats at 17 significant digits).
+Exit codes: 0 success, 1 usage error, 2 domain/validation error or out
+of memory, 3 numeric failure.  All emitted CSV/JSON files are
+byte-deterministic (floats at 17 significant digits).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from ._format import dumps_17g, fmt17
+from ._format import distribution_csv, dumps_17g, fmt17
 from .circuit import (
     DEFAULT_PARAMS,
     CircuitParams,
@@ -142,11 +142,7 @@ def cmd_walk(args) -> int:
     _, history = evolve(state, ts, cfg, graph=g, keep_history=True)
     distributions = [probability_distribution(s) for s in history]
 
-    lines = ["step,node,probability"]
-    for step, dist in enumerate(distributions):
-        for node, p in enumerate(dist):
-            lines.append(f"{step},{node},{fmt17(p)}")
-    _guarded_write(out / "distribution.csv", "\n".join(lines) + "\n", args.force)
+    _guarded_write(out / "distribution.csv", distribution_csv(distributions), args.force)
 
     metadata = {
         "n": g.node_count,
@@ -316,6 +312,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; reduce the graph size or --steps", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

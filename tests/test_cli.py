@@ -1,12 +1,26 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sqwbench
+from sqwbench._format import fmt17
 from sqwbench.cli import main, parse_theta
-from sqwbench.graph import build_graph, graph_to_json
+from sqwbench.graph import (
+    build_graph,
+    generate_lattice_tessellations,
+    generate_path_tessellations,
+    graph_from_json,
+    graph_to_json,
+    greedy_tessellate,
+)
 from sqwbench.schedule import parse_schedule
+from sqwbench.walk import WalkConfig, evolve, initial_basis_state, probability_distribution
 
 
 def read_csv(path):
@@ -129,6 +143,53 @@ class TestWalkCommand:
     def test_missing_file_is_domain_error(self, tmp_path):
         assert main(["walk", "--graph", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
+    def test_out_of_memory_is_domain_error(self, tmp_path, monkeypatch, capsys):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr("sqwbench.cli.cmd_walk", exhausted)
+        assert main(["walk", "--path", "5", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: out of memory")
+
+
+def per_cell_csv(g, ts, theta, steps, convention):
+    """distribution.csv built cell by cell: one fmt17 call per probability."""
+    state = initial_basis_state(g.node_count, (g.node_count - 1) // 2)
+    _, history = evolve(state, ts, WalkConfig(theta, steps, convention), graph=g, keep_history=True)
+    lines = ["step,node,probability"]
+    for step, psi in enumerate(history):
+        for node, p in enumerate(probability_distribution(psi)):
+            lines.append(f"{step},{node},{fmt17(p)}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+GREEDY_GRAPH = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
+
+
+class TestDistributionCsvBytes:
+    @pytest.mark.parametrize(
+        "argv,graph,theta,steps,convention",
+        [
+            (["--path", "1", "--steps", "0"], generate_path_tessellations(1), math.pi / 3, 0, "physical"),
+            (["--path", "133", "--theta", "pi/4", "--steps", "40"],
+             generate_path_tessellations(133), math.pi / 4, 40, "physical"),
+            (["--lattice", "3,3", "--steps", "8", "--convention", "abstract"],
+             generate_lattice_tessellations((3, 3)), math.pi / 3, 8, "abstract"),
+            (None, (GREEDY_GRAPH, greedy_tessellate(GREEDY_GRAPH)), 0.9, 5, "physical"),
+        ],
+        ids=["single-node", "readme-path-133", "lattice-3x3-abstract", "greedy-graph-json"],
+    )
+    def test_matches_per_cell_formatting(self, tmp_path, argv, graph, theta, steps, convention):
+        if argv is None:
+            graph_file = tmp_path / "graph.json"
+            graph_file.write_text(graph_to_json(GREEDY_GRAPH))
+            assert graph_from_json(graph_file.read_text())[1] is None
+            argv = ["--graph", str(graph_file), "--theta", "0.9", "--steps", "5"]
+        out = tmp_path / "out"
+        assert main(["walk", *argv, "--out", str(out)]) == 0
+        g, ts = graph
+        assert (out / "distribution.csv").read_bytes() == per_cell_csv(g, ts, theta, steps, convention)
+
 
 class TestCircuitCommand:
     def test_stock_report_numbers(self, tmp_path, capsys):
@@ -239,6 +300,13 @@ class TestScheduleCommand:
 class TestHelp:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_python_dash_m_help_exits_zero(self):
+        src = str(Path(sqwbench.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-m", "sqwbench", "--help"], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert "walk" in result.stdout
 
     def test_no_command_is_usage_error(self):
         assert main([]) == 1
