@@ -12,13 +12,14 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from ._format import dumps_17g
+from ._format import fmt17
 from .circuit import CircuitParams, pulse_duration, solve_operating_point
 from .errors import ValidationError
-from .graph import Graph, TessellationSet, validate_tessellation_set
+from .graph import Graph, Tessellation, TessellationSet, _among, validate_tessellation_set
 from .walk import WalkConfig, evolve
 
 __all__ = [
@@ -49,7 +50,7 @@ class PulseInterval:
     on_pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "on_pairs", tuple(tuple(p) for p in self.on_pairs))
+        object.__setattr__(self, "on_pairs", tuple(map(tuple, self.on_pairs)))
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,8 @@ class CompiledRun:
 
     ``tessellations`` and ``theta`` form the predicted unitary: applying
     the tessellations in order with rotation angle theta, once per step.
-    Simulating them through :func:`simulate_compiled` uses the exact
-    same code path as :func:`sqwbench.walk.evolve`.
+    :func:`simulate_compiled` executes the schedule's intervals instead,
+    so comparing the two checks what the compiler emitted.
     """
 
     schedule: PulseSchedule
@@ -132,32 +133,83 @@ def compile_schedule(
 
 
 def simulate_compiled(run: CompiledRun, state, graph: Graph, convention: str = "physical") -> np.ndarray:
-    """Evolve a state under the compiled program (same code path as walk.evolve)."""
-    cfg = WalkConfig(theta=run.theta, steps=run.schedule.repetitions, convention=convention)
-    return evolve(state, run.tessellations, cfg, graph=graph)
+    """Evolve a state by executing the schedule's intervals, in order.
+
+    Each interval decodes to the tessellation that drives its on-pairs
+    and leaves every other node of the graph a singleton; the decoded
+    tessellations go through :func:`sqwbench.walk.evolve` as one step.
+    The compiler's own ``run.tessellations`` are not consulted.
+    """
+    violations = validate_schedule(run.schedule, graph)
+    if violations:
+        raise ValidationError("cannot simulate an invalid schedule: " + "; ".join(violations))
+    decoded = TessellationSet(
+        tuple(Tessellation._from_pairs(iv.on_pairs, graph.node_count) for iv in run.schedule.intervals)
+    )
+    return evolve(state, decoded, WalkConfig(theta=run.theta, steps=1, convention=convention), graph=graph)
 
 
 def validate_schedule(s: PulseSchedule, g: Graph) -> list[str]:
     """Check matching property, edge membership, and positive interval length.
 
     Returns violations as a list of messages; empty means the schedule
-    is sound for the graph.
+    is sound for the graph.  Per interval they come pair by pair: "not
+    an edge" first, then each node already driven by an earlier pair.
     """
     violations = []
     if not s.tau_seconds > 0.0:
         violations.append(f"interval length {s.tau_seconds!r} is not positive")
-    edge_set = g.edge_set()
     for interval in s.intervals:
-        driven: set[int] = set()
-        for pair in interval.on_pairs:
-            i, j = pair
-            key = (min(i, j), max(i, j))
-            if key not in edge_set:
-                violations.append(f"interval {interval.index}: pair {pair} is not an edge of the graph")
-            for v in (i, j):
-                if v in driven:
-                    violations.append(f"interval {interval.index}: node {v} is driven by more than one pair")
-                driven.add(v)
+        violations.extend(_interval_violations(interval, g))
+    return violations
+
+
+def _interval_violations(interval: PulseInterval, g: Graph) -> list[str]:
+    pairs = interval.on_pairs
+    flat = list(chain.from_iterable(pairs))
+    nodes = None
+    if len(flat) == 2 * len(pairs) and set(map(type, flat)) <= {int}:
+        try:
+            nodes = np.array(flat, dtype=np.int64)
+        except OverflowError:  # JSON admits integers beyond int64; none of them is a node
+            pass
+    if nodes is None:
+        return _walk_pairs(interval, g.edge_set())
+    lo = np.minimum(nodes[0::2], nodes[1::2])
+    hi = np.maximum(nodes[0::2], nodes[1::2])
+    # a negative or out-of-range node gets key -1, so it never aliases an edge's key
+    keys = np.where((lo >= 0) & (hi < g.node_count), lo * g.node_count + hi, -1)
+    off_graph = ~_among(keys, g._edge_keys)
+    # a stable sort keeps equal nodes in pair order, so every occurrence after the first is flagged
+    order = np.argsort(nodes, kind="stable")
+    repeated = np.zeros(nodes.size, dtype=bool)
+    repeated[order[1:][nodes[order[1:]] == nodes[order[:-1]]]] = True
+    repeated = repeated.reshape(-1, 2)
+    violations = []
+    for k in np.flatnonzero(off_graph | repeated.any(axis=1)).tolist():
+        pair = pairs[k]
+        if off_graph[k]:
+            violations.append(f"interval {interval.index}: pair {pair} is not an edge of the graph")
+        violations.extend(
+            f"interval {interval.index}: node {v} is driven by more than one pair"
+            for v, again in zip(pair, repeated[k].tolist())
+            if again
+        )
+    return violations
+
+
+def _walk_pairs(interval: PulseInterval, edge_set) -> list[str]:
+    """Pair-by-pair check for nodes that are not plain integers within int64."""
+    violations = []
+    driven: set = set()
+    for pair in interval.on_pairs:
+        i, j = pair
+        if (min(i, j), max(i, j)) not in edge_set:
+            violations.append(f"interval {interval.index}: pair {pair} is not an edge of the graph")
+        for v in (i, j):
+            if v in driven:
+                violations.append(f"interval {interval.index}: node {v} is driven by more than one pair")
+            driven.add(v)
     return violations
 
 
@@ -172,20 +224,33 @@ def feasibility_notes(s: PulseSchedule) -> list[str]:
     return notes
 
 
+# json.dumps(payload, indent=2) layout, filled by %-templates: one header, one template per interval
+_HEADER = '{\n  "version": %d,\n  "tau_s": %s,\n  "flux_on": %s,\n  "flux_off": %s,\n  "steps": %d,\n  "intervals": '
+_INTERVAL = '    {\n      "idx": %d,\n      "on": '
+_PAIR = "\n        [\n          %d,\n          %d\n        ]"
+
+
 def emit_schedule(s: PulseSchedule) -> str:
-    """Serialize a schedule to its versioned JSON wire format."""
-    payload = {
-        "version": SCHEDULE_SCHEMA_VERSION,
-        "tau_s": float(s.tau_seconds),
-        "flux_on": float(s.flux_on_ratio),
-        "flux_off": float(s.flux_off_ratio),
-        "steps": int(s.repetitions),
-        "intervals": [
-            {"idx": int(iv.index), "on": [[int(i), int(j)] for i, j in iv.on_pairs]}
-            for iv in s.intervals
-        ],
-    }
-    return dumps_17g(payload) + "\n"
+    """Serialize a schedule to its versioned JSON wire format.
+
+    The text is what ``json.dumps(payload, indent=2)`` writes, with
+    floats at 17 significant digits: two-space indent, one number per
+    line.  Each interval fills one ``%``-template in C.
+    """
+    header = _HEADER % (
+        SCHEDULE_SCHEMA_VERSION,
+        fmt17(s.tau_seconds),
+        fmt17(s.flux_on_ratio),
+        fmt17(s.flux_off_ratio),
+        s.repetitions,
+    )
+    if not s.intervals:
+        return header + "[]\n}\n"
+    intervals = []
+    for iv in s.intervals:
+        on = "[" + ",".join([_PAIR] * len(iv.on_pairs)) + "\n      ]" if iv.on_pairs else "[]"
+        intervals.append((_INTERVAL + on + "\n    }") % ((iv.index,) + tuple(chain.from_iterable(iv.on_pairs))))
+    return header + "[\n" + ",\n".join(intervals) + "\n  ]\n}\n"
 
 
 def parse_schedule(text: str) -> PulseSchedule:
@@ -193,7 +258,7 @@ def parse_schedule(text: str) -> PulseSchedule:
 
     Rejects malformed JSON (naming the byte offset), unknown schema
     versions, missing or mistyped fields, non-positive interval length,
-    and intervals that drive a node twice.
+    an ``on`` that is not a list, and intervals that drive a node twice.
     """
     try:
         obj = json.loads(text)
@@ -223,24 +288,12 @@ def parse_schedule(text: str) -> PulseSchedule:
             raise ValidationError(f"interval entry {raw!r} needs 'idx' and 'on'")
         if not isinstance(raw["idx"], int) or isinstance(raw["idx"], bool):
             raise ValidationError(f"interval idx must be an integer, got {raw['idx']!r}")
-        pairs = []
-        driven: set[int] = set()
-        for pair in raw["on"]:
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
-            ):
-                raise ValidationError(f"interval {raw['idx']}: pair {pair!r} must be a list of two node indices")
-            i, j = pair
-            if i == j:
-                raise ValidationError(f"interval {raw['idx']}: pair {pair!r} repeats a node")
-            for v in (i, j):
-                if v in driven:
-                    raise ValidationError(f"interval {raw['idx']}: node {v} is driven by more than one pair")
-                driven.add(v)
-            pairs.append((i, j))
-        intervals.append(PulseInterval(index=raw["idx"], on_pairs=tuple(pairs)))
+        on = raw["on"]
+        if not isinstance(on, list):
+            raise ValidationError(f"interval {raw['idx']}: on must be a list of pairs")
+        if not _is_matching(on):
+            _raise_first_bad_pair(raw["idx"], on)
+        intervals.append(PulseInterval(index=raw["idx"], on_pairs=on))
     return PulseSchedule(
         tau_seconds=float(tau),
         flux_on_ratio=float(obj["flux_on"]),
@@ -248,3 +301,31 @@ def parse_schedule(text: str) -> PulseSchedule:
         repetitions=steps,
         intervals=tuple(intervals),
     )
+
+
+def _is_matching(on: list) -> bool:
+    """Whole-list test: every entry is a list of two ints, and no int occurs twice (so no pair repeats a node)."""
+    if not set(map(type, on)) <= {list} or not set(map(len, on)) <= {2}:
+        return False
+    flat = list(chain.from_iterable(on))
+    # type() is int excludes bool, which JSON true/false decode to
+    return set(map(type, flat)) <= {int} and len(set(flat)) == len(flat)
+
+
+def _raise_first_bad_pair(idx, on: list) -> None:
+    """Name the first pair that fails :func:`_is_matching`."""
+    driven: set[int] = set()
+    for pair in on:
+        if (
+            not isinstance(pair, list)
+            or len(pair) != 2
+            or not all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
+        ):
+            raise ValidationError(f"interval {idx}: pair {pair!r} must be a list of two node indices")
+        i, j = pair
+        if i == j:
+            raise ValidationError(f"interval {idx}: pair {pair!r} repeats a node")
+        for v in (i, j):
+            if v in driven:
+                raise ValidationError(f"interval {idx}: node {v} is driven by more than one pair")
+            driven.add(v)

@@ -296,6 +296,29 @@ class TestScheduleCommand:
         assert main(args + ["--out", str(b)]) == 0
         assert (a / "schedule.json").read_bytes() == (b / "schedule.json").read_bytes()
 
+    @pytest.mark.parametrize(
+        "golden,args",
+        [
+            ("schedule_path5.json", ["--path", "5", "--theta", "pi/3", "--steps", "1"]),
+            ("schedule_lattice33.json", ["--lattice", "3,3", "--theta", "7pi/24", "--steps", "2"]),
+        ],
+        ids=["readme-path5", "lattice-3x3-7pi24"],
+    )
+    def test_reproduces_golden_file(self, tmp_path, golden, args):
+        assert main(["schedule", *args, "--out", str(tmp_path)]) == 0
+        expected = (Path(__file__).parent / "data" / golden).read_bytes()
+        assert (tmp_path / "schedule.json").read_bytes() == expected
+
+    @pytest.mark.parametrize("on", ["5", "null", '{"a": 1}'])
+    def test_on_not_a_list_is_domain_error(self, tmp_path, monkeypatch, capsys, on):
+        text = (
+            '{"version": 1, "tau_s": 1e-6, "flux_on": 1.0, "flux_off": 0.48, "steps": 1,'
+            f' "intervals": [{{"idx": 0, "on": {on}}}]}}'
+        )
+        monkeypatch.setattr("sqwbench.cli.cmd_schedule", lambda args: parse_schedule(text))
+        assert main(["schedule", "--path", "5", "--out", str(tmp_path)]) in {1, 2, 3}
+        assert capsys.readouterr().err == "error: interval 0: on must be a list of pairs\n"
+
 
 class TestHelp:
     def test_help_exits_zero(self):

@@ -1,8 +1,11 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from sqwbench._format import dumps_17g
 from sqwbench.circuit import DEFAULT_PARAMS, CircuitParams
 from sqwbench.errors import UnreachableFluxError, ValidationError
 from sqwbench.graph import (
@@ -14,6 +17,7 @@ from sqwbench.oracle import brute_force_evolve
 from sqwbench.schedule import (
     PulseInterval,
     PulseSchedule,
+    SCHEDULE_SCHEMA_VERSION,
     compile_schedule,
     emit_schedule,
     feasibility_notes,
@@ -27,6 +31,48 @@ from sqwbench.walk import CONVENTION_ABSTRACT, WalkConfig, evolve, initial_basis
 def compile_quietly(*args, **kwargs):
     with pytest.warns(RuntimeWarning):
         return compile_schedule(*args, **kwargs)
+
+
+def reference_emit(s):
+    """schedule.json built as a payload dict and written by dumps_17g."""
+    payload = {
+        "version": SCHEDULE_SCHEMA_VERSION,
+        "tau_s": float(s.tau_seconds),
+        "flux_on": float(s.flux_on_ratio),
+        "flux_off": float(s.flux_off_ratio),
+        "steps": int(s.repetitions),
+        "intervals": [
+            {"idx": int(iv.index), "on": [[int(i), int(j)] for i, j in iv.on_pairs]}
+            for iv in s.intervals
+        ],
+    }
+    return dumps_17g(payload) + "\n"
+
+
+def reference_validate(s, g):
+    """validate_schedule checked pair by pair against the graph's edge set."""
+    violations = []
+    if not s.tau_seconds > 0.0:
+        violations.append(f"interval length {s.tau_seconds!r} is not positive")
+    edge_set = g.edge_set()
+    for interval in s.intervals:
+        driven = set()
+        for pair in interval.on_pairs:
+            i, j = pair
+            if (min(i, j), max(i, j)) not in edge_set:
+                violations.append(f"interval {interval.index}: pair {pair} is not an edge of the graph")
+            for v in (i, j):
+                if v in driven:
+                    violations.append(f"interval {interval.index}: node {v} is driven by more than one pair")
+                driven.add(v)
+    return violations
+
+
+def schedule_json(on: str) -> str:
+    return (
+        '{"version": 1, "tau_s": 1e-6, "flux_on": 1.0, "flux_off": 0.48, "steps": 1,'
+        f' "intervals": [{{"idx": 0, "on": [[4, 5]]}}, {{"idx": 1, "on": {on}}}]}}'
+    )
 
 
 class TestCompile:
@@ -112,6 +158,31 @@ class TestSoundness:
         oracle = brute_force_evolve(psi, ts, math.pi / 3, steps)
         assert np.max(np.abs(compiled_out - oracle)) < 1e-9
 
+    @pytest.mark.parametrize("maker", [lambda: generate_path_tessellations(5),
+                                       lambda: generate_lattice_tessellations([3, 3])])
+    @pytest.mark.parametrize("mutation", ["all-off", "swapped"])
+    def test_corrupted_schedule_changes_the_simulation(self, maker, mutation):
+        g, ts = maker()
+        run = compile_quietly(g, ts, math.pi / 3, DEFAULT_PARAMS, 2)
+        intervals = run.schedule.intervals
+        if mutation == "all-off":
+            intervals = tuple(PulseInterval(iv.index, ()) for iv in intervals)
+        else:
+            intervals = (intervals[1], intervals[0]) + intervals[2:]
+        corrupted = dataclasses.replace(run, schedule=dataclasses.replace(run.schedule, intervals=intervals))
+        assert validate_schedule(corrupted.schedule, g) == []
+        psi = initial_basis_state(g.node_count, g.node_count // 2)
+        compiled_out = simulate_compiled(corrupted, psi, g, convention=CONVENTION_ABSTRACT)
+        direct = evolve(psi, ts, WalkConfig(math.pi / 3, 2, CONVENTION_ABSTRACT), graph=g)
+        assert not np.array_equal(compiled_out, direct)
+
+    def test_invalid_schedule_is_not_simulated(self):
+        g, ts = generate_path_tessellations(5)
+        run = compile_quietly(g, ts, math.pi / 3, DEFAULT_PARAMS, 1)
+        bad = dataclasses.replace(run, schedule=dataclasses.replace(run.schedule, intervals=(PulseInterval(0, ((0, 7),)),)))
+        with pytest.raises(ValidationError, match="not an edge"):
+            simulate_compiled(bad, initial_basis_state(5, 2), g)
+
     def test_compiled_schedule_always_validates(self):
         g, ts = generate_lattice_tessellations([2, 3])
         run = compile_quietly(g, ts, 1.0, DEFAULT_PARAMS, 2)
@@ -135,6 +206,78 @@ class TestValidateSchedule:
         g, _ = generate_path_tessellations(3)
         s = PulseSchedule(-1.0, 1.0, 0.48, 0, ())
         assert any("not positive" in v for v in validate_schedule(s, g))
+
+
+class TestValidateMatchesPairByPair:
+    """The array check returns the pair-by-pair reference's messages, in its order."""
+
+    @pytest.mark.parametrize(
+        "on",
+        [
+            ((0, 2),),
+            # 0 * 9 + 23 is the key of edge (2, 5)
+            ((0, 23), (9, 1)),
+            ((3, 3),),
+            ((0, 1), (1, 2), (4, 3), (3, 6)),
+            ((0, 1), (5, 5), (5, 2), (1, 4)),
+            ((0, 2), (2, 0), (1, 1), (4, 5)),
+            # -2049638230412172401 * 9 wraps to 7 in int64, and 7 + 4 is the key of edge (1, 2)
+            ((-1, 0), (-1, 10), (-9, 9), (-2049638230412172401, 4)),
+            ((0, 2**70), (2**70, 1), (3, 4)),
+            ((2**70, 2**71), (2**63, -(2**63) - 1)),
+            ((0, 1.5), (1.0, 0)),
+            ((np.int64(0), np.int64(1)), (np.int64(1), np.int64(2))),
+            (),
+        ],
+        ids=["non-edge", "out-of-range", "self-pair", "repeat-across", "repeat-within", "mixed-order",
+             "negative", "2**70", "beyond-int64", "floats", "numpy-ints", "empty"],
+    )
+    def test_same_messages(self, on):
+        g, ts = generate_lattice_tessellations([3, 3])
+        run = compile_quietly(g, ts, math.pi / 3, DEFAULT_PARAMS, 1)
+        intervals = run.schedule.intervals
+        s = dataclasses.replace(run.schedule, intervals=intervals[:2] + (PulseInterval(2, on),) + intervals[3:])
+        expected = reference_validate(s, g)
+        assert validate_schedule(s, g) == expected
+        if on:
+            assert expected
+
+    def test_same_messages_on_the_empty_graph(self):
+        g = build_graph(0, [])
+        s = PulseSchedule(0.0, 1.0, 0.48, 1, (PulseInterval(0, ((0, 1), (1, 0))),))
+        assert validate_schedule(s, g) == reference_validate(s, g)
+
+
+class TestEmitterBytes:
+    """emit_schedule writes exactly what dumps_17g writes for the same payload."""
+
+    CASES = [(generate_path_tessellations, n) for n in range(1, 7)] + [
+        (generate_lattice_tessellations, dims) for dims in [(1,), (2, 2), (4, 3), (3, 3, 2)]
+    ]
+
+    @pytest.mark.parametrize("steps", [0, 1, 3])
+    @pytest.mark.parametrize("maker,arg", CASES, ids=[f"{m.__name__.split('_')[1]}-{a}" for m, a in CASES])
+    def test_compiled(self, maker, arg, steps):
+        g, ts = maker(arg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run = compile_schedule(g, ts, math.pi / 3, DEFAULT_PARAMS, steps)
+        assert emit_schedule(run.schedule) == reference_emit(run.schedule)
+
+    def test_all_off(self):
+        s = PulseSchedule(1e-9, 1.0, 0.48, 2, tuple(PulseInterval(k, ()) for k in range(4)))
+        assert emit_schedule(s) == reference_emit(s)
+
+    @pytest.mark.parametrize("flux_on", [1.0, 5e-324, 1e-300])
+    def test_hand_built(self, flux_on):
+        s = PulseSchedule(
+            9.8526404082298657e-10,
+            flux_on,
+            0.4801264657214081,
+            1,
+            (PulseInterval(0, ((0, 1), (2, 3))), PulseInterval(1, ()), PulseInterval(7, ((1, 2),))),
+        )
+        assert emit_schedule(s) == reference_emit(s)
 
 
 class TestFeasibility:
@@ -185,6 +328,38 @@ class TestWireFormat:
         )
         with pytest.raises(ValidationError, match="more than one pair"):
             parse_schedule(text)
+
+    @pytest.mark.parametrize(
+        "on,message",
+        [
+            ("5", "interval 1: on must be a list of pairs"),
+            ("null", "interval 1: on must be a list of pairs"),
+            ('{"a": [0, 1]}', "interval 1: on must be a list of pairs"),
+            ('[[0, 1], "ab"]', "interval 1: pair 'ab' must be a list of two node indices"),
+            ("[[0, 1], [2, 3, 4]]", "interval 1: pair [2, 3, 4] must be a list of two node indices"),
+            ("[[0, 1], [2]]", "interval 1: pair [2] must be a list of two node indices"),
+            ("[[0, true]]", "interval 1: pair [0, True] must be a list of two node indices"),
+            ("[[0, 1.0]]", "interval 1: pair [0, 1.0] must be a list of two node indices"),
+            ("[[0, 1], [3, 3]]", "interval 1: pair [3, 3] repeats a node"),
+            ("[[0, 1], [1, 2]]", "interval 1: node 1 is driven by more than one pair"),
+            ("[[0, 1], [2, 3], [4, 5], [6, 2]]", "interval 1: node 2 is driven by more than one pair"),
+            ("[[0, 1], [2, 0], [3, 3]]", "interval 1: node 0 is driven by more than one pair"),
+            ("[[0, 1], [2, 1], [2, 2]]", "interval 1: node 1 is driven by more than one pair"),
+            ("[[5, 6], [7, 8], [6, [1]]]", "interval 1: pair [6, [1]] must be a list of two node indices"),
+            ("[[-1, 0], [2, -1]]", "interval 1: node -1 is driven by more than one pair"),
+            (f"[[0, {2**70}], [{2**70}, 1]]", f"interval 1: node {2**70} is driven by more than one pair"),
+        ],
+    )
+    def test_first_bad_pair_named(self, on, message):
+        with pytest.raises(ValidationError) as info:
+            parse_schedule(schedule_json(on))
+        assert str(info.value) == message
+
+    def test_pairs_load_as_int_tuples(self):
+        s = parse_schedule(schedule_json(f"[[2, 0], [-1, {2**70}], [3, 1]]"))
+        assert s.intervals[1].on_pairs == ((2, 0), (-1, 2**70), (3, 1))
+        assert all(type(p) is tuple and type(v) is int for iv in s.intervals for p in iv.on_pairs for v in p)
+        assert parse_schedule(schedule_json("[]")).intervals[1].on_pairs == ()
 
     def test_malformed_pair_rejected_on_load(self):
         text = (
