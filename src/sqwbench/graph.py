@@ -14,6 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -43,38 +44,23 @@ def _is_index(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _pair_keys(pairs: np.ndarray, node_count: int) -> np.ndarray:
-    """Key i*n + j of each low-high pair; -1 (no edge's key) where j lies outside the graph."""
-    keys = pairs[:, 0].astype(np.int64) * node_count + pairs[:, 1]
-    keys[pairs[:, 1] >= node_count] = -1
-    return keys
-
-
-def _among(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
-    """Which of ``keys`` occur in ``sorted_keys``."""
-    if not sorted_keys.size:
-        return np.zeros(keys.shape, dtype=bool)
-    return sorted_keys[np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)] == keys
-
-
-@dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on nodes 0..node_count-1.
 
-    Edges are stored canonically: each pair ordered low-high, the whole
-    tuple sorted, no duplicates, no self-loops.  Use :func:`build_graph`
-    to construct from unnormalized input.
+    ``edge_array`` holds the edges once, canonically: a read-only
+    ``(m, 2)`` int array, each row low-high, the rows sorted, no
+    duplicates and no self-loops.  ``edges`` is the same list as int
+    tuples.  Use :func:`build_graph` to construct from unnormalized
+    input.
     """
 
-    node_count: int
-    edges: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        if not _is_index(self.node_count) or self.node_count < 0:
-            raise ValidationError(f"node_count must be a non-negative integer, got {self.node_count!r}")
-        seen = set()
-        normalized = []
-        for edge in self.edges:
+    def __init__(self, node_count: int, edges=()):
+        if not _is_index(node_count) or node_count < 0:
+            raise ValidationError(f"node_count must be a non-negative integer, got {node_count!r}")
+        if node_count > _MAX_INDEX:
+            raise ValidationError(f"node_count must be at most {_MAX_INDEX}, got {node_count}")
+        edges = tuple(edges)
+        for edge in edges:
             try:
                 i, j = edge
             except (TypeError, ValueError):
@@ -83,33 +69,71 @@ class Graph:
                 raise ValidationError(f"edge {edge!r} has non-integer endpoints")
             if i == j:
                 raise ValidationError(f"self-loop on node {i} is not allowed")
-            if not (0 <= i < self.node_count and 0 <= j < self.node_count):
-                raise ValidationError(f"edge {edge!r} references a node outside [0, {self.node_count})")
-            key = (min(i, j), max(i, j))
-            if key not in seen:
-                seen.add(key)
-                normalized.append(key)
-        object.__setattr__(self, "edges", tuple(sorted(normalized)))
+            if not (0 <= i < node_count and 0 <= j < node_count):
+                raise ValidationError(f"edge {edge!r} references a node outside [0, {node_count})")
+        self._set(node_count, np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=2 * len(edges)))
 
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in range(self.node_count)}
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
+    @classmethod
+    def _from_array(cls, node_count: int, pairs) -> Graph:
+        """The given in-range pairs of distinct nodes, in any order and orientation."""
+        g = cls.__new__(cls)
+        g._set(node_count, pairs)
+        return g
+
+    def _set(self, node_count: int, pairs) -> None:
+        pairs = np.sort(np.asarray(pairs, dtype=np.intp).reshape(-1, 2), axis=1)
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        if len(pairs):
+            pairs = pairs[np.r_[True, (pairs[1:] != pairs[:-1]).any(axis=1)]]
+        pairs.flags.writeable = False
+        self.node_count = node_count
+        self.edge_array = pairs
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self.edge_array.tolist()))
 
     def max_degree(self) -> int:
-        if not self.edges:
-            return 0
-        return max(len(nbrs) for nbrs in self.adjacency().values())
+        return int(np.bincount(self._ranks[1].ravel()).max()) if self.edge_array.size else 0
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)
 
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.node_count == other.node_count and np.array_equal(self.edge_array, other.edge_array)
+
+    def __hash__(self):
+        return hash((self.node_count, self.edge_array.tobytes()))
+
+    def __repr__(self):
+        return f"Graph(node_count={self.node_count!r}, edges={self.edges!r})"
+
     @cached_property
-    def _edge_keys(self) -> np.ndarray:
-        # sorted, because the edges are
-        return _pair_keys(np.array(self.edges, dtype=np.intp).reshape(-1, 2), self.node_count)
+    def _ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted distinct endpoints, and ``edge_array`` with each node replaced by its index among them.
+
+        Ranks keep the order of nodes and rows and stay below 2m, so arrays indexed by them
+        are sized by the edges, not by ``node_count``.
+        """
+        endpoints = np.unique(self.edge_array)
+        return endpoints, np.searchsorted(endpoints, self.edge_array)
+
+    def _edge_index(self, pairs: np.ndarray) -> np.ndarray:
+        """Row of ``edge_array`` equal to each low-high row of ``pairs``, or -1 for a non-edge."""
+        found = np.full(len(pairs), -1, dtype=np.intp)
+        if not self.edge_array.size:
+            return found
+        endpoints, ranks = self._ranks
+        # keys of rank pairs sort like the rows and stay below (2m)**2, however large the nodes are
+        keys = ranks[:, 0] * endpoints.size + ranks[:, 1]
+        query = np.minimum(np.searchsorted(endpoints, pairs), endpoints.size - 1)
+        key = query[:, 0] * endpoints.size + query[:, 1]
+        row = np.minimum(np.searchsorted(keys, key), keys.size - 1)
+        hit = (endpoints[query] == pairs).all(axis=1) & (keys[row] == key)
+        found[hit] = row[hit]
+        return found
 
 
 class Tessellation:
@@ -215,8 +239,12 @@ def build_graph(node_count: int, edges) -> Graph:
 
 def is_triangle_free(g: Graph) -> bool:
     """True iff no three nodes of ``g`` are mutually adjacent."""
-    adj = g.adjacency()
-    return all(not (adj[i] & adj[j]) for i, j in g.edges)
+    # neighbour sets for edge endpoints only, so the cost does not grow with node_count
+    nbrs: dict[int, set[int]] = {}
+    for i, j in g.edges:
+        nbrs.setdefault(i, set()).add(j)
+        nbrs.setdefault(j, set()).add(i)
+    return all(not (nbrs[i] & nbrs[j]) for i, j in g.edges)
 
 
 def validate_tessellation(g: Graph, t: Tessellation) -> list[str]:
@@ -226,7 +254,7 @@ def validate_tessellation(g: Graph, t: Tessellation) -> list[str]:
     tessellation is valid.  Violations are data, not exceptions.
     """
     violations = [] if t.partitions(g.node_count) else _partition_violations(t, g.node_count)
-    off_graph = t.pairs[~_among(_pair_keys(t.pairs, g.node_count), g._edge_keys)]
+    off_graph = t.pairs[g._edge_index(t.pairs) < 0]
     violations.extend(f"element {tuple(p)} is not an edge of the graph" for p in off_graph.tolist())
     return violations
 
@@ -252,8 +280,8 @@ def validate_tessellation_set(g: Graph, ts: TessellationSet) -> list[str]:
     violations = []
     for k, t in enumerate(ts):
         violations.extend(f"tessellation {k}: {msg}" for msg in validate_tessellation(g, t))
-    covered = np.concatenate([np.empty(0, dtype=np.int64)] + [_pair_keys(t.pairs, g.node_count) for t in ts])
-    uncovered = np.flatnonzero(~_among(g._edge_keys, np.sort(covered)))
+    covered = np.concatenate([np.empty(0, dtype=np.intp)] + [g._edge_index(t.pairs) for t in ts])
+    uncovered = np.setdiff1d(np.arange(len(g.edge_array)), covered)
     if uncovered.size:
         violations.append(f"edges {[g.edges[k] for k in uncovered.tolist()]} are not covered by any tessellation")
     return violations
@@ -297,7 +325,7 @@ def generate_lattice_tessellations(dims) -> tuple[Graph, TessellationSet]:
         axis_pairs.append((nodes[head], nodes[tail], parity[head]))
 
     edges = np.concatenate([np.stack((lo.ravel(), hi.ravel()), axis=1) for lo, hi, _ in axis_pairs])
-    g = build_graph(nodes.size, edges.tolist())
+    g = Graph._from_array(nodes.size, edges)
     tessellations = [
         Tessellation._from_pairs(np.stack((lo[par == p], hi[par == p]), axis=1), nodes.size)
         for lo, hi, par in axis_pairs
@@ -319,26 +347,23 @@ def greedy_tessellate(g: Graph) -> TessellationSet:
     if not is_triangle_free(g):
         raise ValidationError("graph contains a triangle; staggered tessellations need triangle-free input")
     max_degree = g.max_degree()
-    uncovered = set(g.edges)
+    endpoints, uncovered = g._ranks
     tessellations = []
-    while uncovered:
-        degree: dict[int, int] = {}
-        for i, j in uncovered:
-            degree[i] = degree.get(i, 0) + 1
-            degree[j] = degree.get(j, 0) + 1
-        order = sorted(
-            uncovered,
-            key=lambda e: (-max(degree[e[0]], degree[e[1]]), -min(degree[e[0]], degree[e[1]]), e),
+    while uncovered.size:
+        degree = np.bincount(uncovered.ravel())
+        lo_degree, hi_degree = degree[uncovered[:, 0]], degree[uncovered[:, 1]]
+        order = np.lexsort(
+            (uncovered[:, 1], uncovered[:, 0], -np.minimum(lo_degree, hi_degree), -np.maximum(lo_degree, hi_degree))
         )
         used: set[int] = set()
-        matching = []
-        for i, j in order:
+        matched = np.zeros(len(uncovered), dtype=bool)
+        for k, (i, j) in zip(order.tolist(), uncovered[order].tolist()):
             if i not in used and j not in used:
-                matching.append((i, j))
+                matched[k] = True
                 used.add(i)
                 used.add(j)
-        tessellations.append(Tessellation._from_pairs(matching, g.node_count))
-        uncovered.difference_update(matching)
+        tessellations.append(Tessellation._from_pairs(endpoints[uncovered[matched]], g.node_count))
+        uncovered = uncovered[~matched]
         if len(tessellations) > max_degree + 1:
             raise ValidationError(
                 f"matching decomposition needed more than max_degree+1 = {max_degree + 1} rounds; "

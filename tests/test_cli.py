@@ -22,6 +22,8 @@ from sqwbench.graph import (
 from sqwbench.schedule import parse_schedule
 from sqwbench.walk import WalkConfig, evolve, initial_basis_state, probability_distribution
 
+DATA = Path(__file__).parent / "data"
+
 
 def read_csv(path):
     lines = path.read_text().strip().split("\n")
@@ -142,6 +144,12 @@ class TestWalkCommand:
 
     def test_missing_file_is_domain_error(self, tmp_path):
         assert main(["walk", "--graph", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
+
+    def test_node_count_beyond_index_range_is_domain_error(self, tmp_path, capsys):
+        graph_file = tmp_path / "huge.json"
+        graph_file.write_text(json.dumps({"nodes": 2**70, "edges": [[0, 1]]}))
+        assert main(["walk", "--graph", str(graph_file), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: node_count must be at most {np.iinfo(np.intp).max}, got {2**70}\n"
 
     def test_out_of_memory_is_domain_error(self, tmp_path, monkeypatch, capsys):
         def exhausted(args):
@@ -301,12 +309,17 @@ class TestScheduleCommand:
         [
             ("schedule_path5.json", ["--path", "5", "--theta", "pi/3", "--steps", "1"]),
             ("schedule_lattice33.json", ["--lattice", "3,3", "--theta", "7pi/24", "--steps", "2"]),
+            # no tessellations in the file, so greedy_tessellate makes them
+            (
+                "schedule_graph_bipartite7.json",
+                ["--graph", str(DATA / "graph_bipartite7.json"), "--theta", "0.9", "--steps", "2"],
+            ),
         ],
-        ids=["readme-path5", "lattice-3x3-7pi24"],
+        ids=["readme-path5", "lattice-3x3-7pi24", "graph-bipartite7-greedy"],
     )
     def test_reproduces_golden_file(self, tmp_path, golden, args):
         assert main(["schedule", *args, "--out", str(tmp_path)]) == 0
-        expected = (Path(__file__).parent / "data" / golden).read_bytes()
+        expected = (DATA / golden).read_bytes()
         assert (tmp_path / "schedule.json").read_bytes() == expected
 
     @pytest.mark.parametrize("on", ["5", "null", '{"a": 1}'])

@@ -4,13 +4,16 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqwbench.errors import ValidationError
 from sqwbench.graph import (
+    Graph,
     Tessellation,
+    TessellationSet,
     build_graph,
     generate_lattice_tessellations,
     generate_path_tessellations,
@@ -62,6 +65,66 @@ class TestBuildGraph:
         g = build_graph(0, [])
         assert g.node_count == 0 and g.edges == ()
 
+    @pytest.mark.parametrize("load", ["build_graph", "graph_from_json"])
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (5, "edge 5 is not a pair"),
+            ([1], "edge (1,) is not a pair"),
+            ([1, 2, 3], "edge (1, 2, 3) is not a pair"),
+            ([0, 1.0], "edge (0, 1.0) has non-integer endpoints"),
+            ([True, 1], "edge (True, 1) has non-integer endpoints"),
+            (["a", 1], "edge ('a', 1) has non-integer endpoints"),
+            ([2, 2], "self-loop on node 2 is not allowed"),
+            ([-1, 2], "edge (-1, 2) references a node outside [0, 4)"),
+            ([0, 4], "edge (0, 4) references a node outside [0, 4)"),
+        ],
+        ids=["int", "one", "three", "float", "bool", "str", "self-loop", "negative", "n"],
+    )
+    def test_first_bad_edge_named(self, load, bad, message):
+        # a valid edge before the bad one, a second bad edge after it
+        edges = [[0, 1], bad, [3, 3]]
+        if load == "graph_from_json":
+            if not isinstance(bad, list):
+                message = '"edges" must be a list of [i, j] pairs'
+            with pytest.raises(ValidationError) as excinfo:
+                graph_from_json(json.dumps({"nodes": 4, "edges": edges}))
+        else:
+            with pytest.raises(ValidationError) as excinfo:
+                # build_graph tuple()s each edge, so a bare number goes to Graph itself
+                build_graph(4, edges) if isinstance(bad, list) else Graph(4, tuple(edges))
+        assert str(excinfo.value) == message
+
+    def test_value_semantics(self):
+        g = build_graph(5, [(0, 1), (3, 4), (1, 2)])
+        same = build_graph(5, [(2, 1), (4, 3), (1, 0), (0, 1), (3, 4)])
+        assert g == same and hash(g) == hash(same)
+        assert g != build_graph(6, [(0, 1), (3, 4), (1, 2)])
+        assert g != build_graph(5, [(0, 1), (3, 4)])
+        assert g.edge_array.tolist() == [[0, 1], [1, 2], [3, 4]]
+        assert not g.edge_array.flags.writeable
+        with pytest.raises(ValueError):
+            g.edge_array[0, 0] = 3
+        assert all(type(v) is int for edge in g.edges for v in edge)
+        assert g.max_degree() == 2 and build_graph(3, []).max_degree() == 0
+        assert repr(g) == "Graph(node_count=5, edges=((0, 1), (1, 2), (3, 4)))"
+
+    def test_node_count_above_index_range_rejected(self):
+        with pytest.raises(ValidationError, match="node_count must be at most"):
+            build_graph(2**63, [(0, 1)])
+        with pytest.raises(ValidationError, match="node_count must be at most"):
+            graph_from_json(json.dumps({"nodes": 2**70, "edges": [[0, 1]]}))
+
+    def test_huge_node_count_costs_only_its_edges(self):
+        # the canonical form, the triangle check and the edge lookup allocate per edge, not per node
+        n = 2**62
+        g = build_graph(n, [(n - 1, 1), (0, 1)])
+        assert g.edges == ((0, 1), (1, n - 1))
+        assert is_triangle_free(g)
+        assert not is_triangle_free(build_graph(n, [(n - 1, 1), (0, 1), (0, n - 1)]))
+        pairs = np.array([[0, 1], [1, n - 1], [0, n - 1], [n - 2, n - 1], [1, 2]])
+        assert g._edge_index(pairs).tolist() == [0, 1, -1, -1, -1]
+
 
 class TestTriangleFree:
     def test_path_is_triangle_free(self):
@@ -111,6 +174,14 @@ class TestValidateTessellation:
         for _ in range(20):
             rng.shuffle(elements)
             assert validate_tessellation(g, Tessellation(tuple(elements))) == []
+
+    def test_uncovered_edges_named_in_order(self):
+        g = path_graph(5)
+        ts = TessellationSet((Tessellation(((0, 2), (1,), (3,), (4,))), Tessellation(((0, 1), (2, 3), (4,)))))
+        assert validate_tessellation_set(g, ts) == [
+            "tessellation 0: element (0, 2) is not an edge of the graph",
+            "edges [(1, 2), (3, 4)] are not covered by any tessellation",
+        ]
 
     def test_oversized_element_rejected_on_construction(self):
         with pytest.raises(ValidationError):
@@ -270,6 +341,98 @@ class TestGreedyTessellate:
             assert covered == set(g.edges)
 
 
+def reference_greedy(g):
+    """greedy_tessellate as it was built on Python sets: each round's sorted elements, in round order."""
+    adj = {v: set() for v in range(g.node_count)}
+    for i, j in g.edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    if any(adj[i] & adj[j] for i, j in g.edges):
+        raise ValidationError("graph contains a triangle; staggered tessellations need triangle-free input")
+    max_degree = max((len(nbrs) for nbrs in adj.values()), default=0)
+    uncovered = set(g.edges)
+    rounds = []
+    while uncovered:
+        degree = {}
+        for i, j in uncovered:
+            degree[i] = degree.get(i, 0) + 1
+            degree[j] = degree.get(j, 0) + 1
+        order = sorted(
+            uncovered,
+            key=lambda e: (-max(degree[e[0]], degree[e[1]]), -min(degree[e[0]], degree[e[1]]), e),
+        )
+        used = set()
+        matching = []
+        for i, j in order:
+            if i not in used and j not in used:
+                matching.append((i, j))
+                used.update((i, j))
+        rounds.append(tuple(sorted(matching + [(v,) for v in range(g.node_count) if v not in used])))
+        uncovered.difference_update(matching)
+        if len(rounds) > max_degree + 1:
+            raise ValidationError(
+                f"matching decomposition needed more than max_degree+1 = {max_degree + 1} rounds; "
+                "supply explicit tessellations for this graph"
+            )
+    if not rounds:
+        rounds.append(tuple((v,) for v in range(g.node_count)))
+    if len(rounds) > max_degree > 0:
+        warnings.warn(f"needed {len(rounds)} tessellations for maximum degree {max_degree}", RuntimeWarning)
+    return rounds
+
+
+def random_bipartite(rng, left, right):
+    p = rng.random()
+    edges = [(i, left + j) for i in range(left) for j in range(right) if rng.random() < p]
+    rng.shuffle(edges)
+    return build_graph(left + right, [(j, i) if rng.random() < 0.5 else (i, j) for i, j in edges])
+
+
+def greedy_outcome(tessellate, g):
+    """(elements per round or the raised message, warning messages) of one tessellation run."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = [tuple(t.elements) if isinstance(t, Tessellation) else t for t in tessellate(g)]
+        except ValidationError as exc:
+            result = str(exc)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestGreedyMatchesReference:
+    # the same tessellations in the same order fix the bytes of run.json and schedule.json
+
+    def test_random_bipartite(self):
+        rng = random.Random(515)
+        outcomes = set()
+        for _ in range(1000):
+            g = random_bipartite(rng, rng.randint(1, 14), rng.randint(1, 14))
+            expected = greedy_outcome(reference_greedy, g)
+            assert greedy_outcome(greedy_tessellate, g) == expected, g
+            outcomes.add((isinstance(expected[0], str), bool(expected[1])))
+        # the sample reaches the plain and the warning outcome; K6,6 below raises
+        assert {(False, False), (False, True)} <= outcomes
+
+    def test_k66_minus_two_edges_raises(self):
+        g = build_graph(12, [(i, j) for i in range(6) for j in range(6, 12) if (i, j) not in {(0, 6), (2, 8)}])
+        result, caught = greedy_outcome(greedy_tessellate, g)
+        assert result.startswith("matching decomposition needed more than max_degree+1 = 7 rounds; ")
+        assert (result, caught) == greedy_outcome(reference_greedy, g)
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 21])
+    def test_odd_cycles(self, n):
+        g = build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+        result, caught = greedy_outcome(greedy_tessellate, g)
+        assert (result, caught) == greedy_outcome(reference_greedy, g)
+        if n > 3:
+            assert len(result) == 3 and caught == [(RuntimeWarning, "needed 3 tessellations for maximum degree 2")]
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_edgeless(self, n):
+        g = build_graph(n, [])
+        assert greedy_outcome(greedy_tessellate, g) == greedy_outcome(reference_greedy, g)
+
+
 class TestGraphJson:
     def test_round_trip(self):
         g, ts = generate_lattice_tessellations([3, 2])
@@ -370,3 +533,18 @@ class TestGeneratorsMatchPerNodeConstruction:
                 edges, elements = per_node_lattice(list(dims))
                 assert g.edges == edges, dims
                 assert [t.elements for t in ts] == elements, dims
+
+    def test_graph_values(self):
+        for dims in ([1], [2], [7], [4, 3], [3, 1, 2], [2, 2, 2], [5, 5]):
+            g, ts = generate_lattice_tessellations(dims)
+            edges, elements = per_node_lattice(dims)
+            rebuilt = build_graph(g.node_count, [(j, i) for i, j in reversed(edges)] + list(edges[:2]))
+            assert g == rebuilt and hash(g) == hash(rebuilt), dims
+            assert not g.edge_array.flags.writeable
+            assert all(type(v) is int for edge in g.edges for v in edge)
+            payload = {
+                "nodes": g.node_count,
+                "edges": [list(e) for e in edges],
+                "tessellations": [[list(el) for el in t] for t in elements],
+            }
+            assert graph_to_json(g, ts).encode() == (json.dumps(payload, indent=2) + "\n").encode(), dims
