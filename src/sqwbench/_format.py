@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import re
 
 import numpy as np
 
@@ -30,24 +29,11 @@ def distribution_csv(distributions) -> str:
     return "".join(parts)
 
 
-def dumps_17g(payload) -> str:
-    """json.dumps with every float rendered at 17 significant digits.
+def dumps_17g(payload: dict) -> str:
+    """A non-empty flat dict laid out as ``json.dumps(payload, indent=2)``, floats at 17 significant digits.
 
-    The stock encoder hard-codes repr() for floats, so floats are
-    swapped for sentinel strings first and substituted back afterwards.
+    The stock encoder hard-codes repr() for floats, so each entry is written
+    here: floats by :func:`fmt17`, keys and all other values by ``json.dumps``.
     """
-    floats: list[float] = []
-
-    def stash(obj):
-        if isinstance(obj, float):
-            floats.append(obj)
-            return f"\x00{len(floats) - 1}\x00"
-        if isinstance(obj, dict):
-            return {k: stash(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [stash(v) for v in obj]
-        return obj
-
-    text = json.dumps(stash(payload), indent=2)
-    # the NUL sentinel is escaped to \u0000 in the encoded text
-    return re.sub(r'"\\u0000(\d+)\\u0000"', lambda m: fmt17(floats[int(m.group(1))]), text)
+    entries = (f"  {json.dumps(k)}: {fmt17(v) if isinstance(v, float) else json.dumps(v)}" for k, v in payload.items())
+    return "{\n" + ",\n".join(entries) + "\n}"

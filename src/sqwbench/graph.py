@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count, islice
 
 import numpy as np
 
@@ -59,9 +59,10 @@ class Graph:
             raise ValidationError(f"node_count must be a non-negative integer, got {node_count!r}")
         if node_count > _MAX_INDEX:
             raise ValidationError(f"node_count must be at most {_MAX_INDEX}, got {node_count}")
-        edges = tuple(edges)
+        checked = []
         for edge in edges:
             try:
+                edge = tuple(edge)
                 i, j = edge
             except (TypeError, ValueError):
                 raise ValidationError(f"edge {edge!r} is not a pair") from None
@@ -71,7 +72,8 @@ class Graph:
                 raise ValidationError(f"self-loop on node {i} is not allowed")
             if not (0 <= i < node_count and 0 <= j < node_count):
                 raise ValidationError(f"edge {edge!r} references a node outside [0, {node_count})")
-        self._set(node_count, np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=2 * len(edges)))
+            checked.append(edge)
+        self._set(node_count, np.fromiter(chain.from_iterable(checked), dtype=np.intp, count=2 * len(checked)))
 
     @classmethod
     def _from_array(cls, node_count: int, pairs) -> Graph:
@@ -147,7 +149,7 @@ class Tessellation:
     :func:`validate_tessellation`.
     """
 
-    __slots__ = ("pairs", "singletons", "_partition_size")
+    __slots__ = ("pairs", "singletons", "_partner")
 
     def __init__(self, elements):
         pairs, singletons = [], []
@@ -180,12 +182,11 @@ class Tessellation:
 
     def _set(self, pairs: np.ndarray, singletons: np.ndarray) -> None:
         pairs = np.sort(pairs, axis=1)
-        # column-major, so each column is a contiguous index array for the kernel's gathers
-        self.pairs = np.asfortranarray(pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))])
+        self.pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
         self.singletons = np.sort(singletons)
         self.pairs.flags.writeable = False
         self.singletons.flags.writeable = False
-        self._partition_size = None
+        self._partner = None
 
     @property
     def elements(self) -> tuple[tuple[int, ...], ...]:
@@ -193,13 +194,20 @@ class Tessellation:
         return tuple(sorted([(v,) for v in self.singletons.tolist()] + list(map(tuple, self.pairs.tolist()))))
 
     def partitions(self, n: int) -> bool:
-        """True iff the elements partition range(n); the verdict is computed once."""
-        if self._partition_size is None:
+        """True iff the elements partition range(n); the verdict is computed once.
+
+        It is cached as ``_partner``: for a partition, the reflection H as a permutation
+        (pair nodes swapped, singletons fixed); otherwise ``False``, which fails every n, 0 too.
+        """
+        if self._partner is None:
             nodes = np.concatenate((self.pairs.ravel(), self.singletons))
             # nodes are non-negative, so n distinct values below n are exactly range(n)
-            distinct = nodes.size == 0 or (nodes.max() < nodes.size and np.bincount(nodes).max() == 1)
-            self._partition_size = nodes.size if distinct else -1
-        return self._partition_size == n
+            self._partner = False
+            if nodes.size == 0 or (nodes.max() < nodes.size and np.bincount(nodes).max() == 1):
+                self._partner = np.empty(nodes.size, dtype=np.intp)
+                self._partner[self.pairs] = self.pairs[:, ::-1]
+                self._partner[self.singletons] = self.singletons
+        return self._partner is not False and self._partner.size == n
 
     def __eq__(self, other):
         if not isinstance(other, Tessellation):
@@ -234,7 +242,7 @@ class TessellationSet:
 
 def build_graph(node_count: int, edges) -> Graph:
     """Build a normalized Graph, rejecting self-loops and out-of-range nodes."""
-    return Graph(node_count, tuple(tuple(e) for e in edges))
+    return Graph(node_count, edges)
 
 
 def is_triangle_free(g: Graph) -> bool:
@@ -269,9 +277,13 @@ def _partition_violations(t: Tessellation, node_count: int) -> list[str]:
             elif v in covered:
                 violations.append(f"node {v} appears in more than one element (second: {element})")
             covered.add(v)
-    missing = set(range(node_count)) - covered
-    if missing:
-        violations.append(f"nodes {sorted(missing)} are not covered by any element")
+    # count the uncovered nodes, and name the first 20 walking up from 0, so nothing is sized by node_count
+    gap = node_count - sum(v < node_count for v in covered)
+    first = list(islice((v for v in count() if v not in covered), min(gap, 20)))
+    if gap > 20:
+        violations.append(f"nodes {first} and {gap - 20} more ({gap} in all) are not covered by any element")
+    elif gap:
+        violations.append(f"nodes {first} are not covered by any element")
     return violations
 
 
@@ -407,7 +419,7 @@ def graph_from_json(text: str) -> tuple[Graph, TessellationSet | None]:
         raise ValidationError('"nodes" must be an integer')
     if not isinstance(obj["edges"], list) or not all(isinstance(e, list) for e in obj["edges"]):
         raise ValidationError('"edges" must be a list of [i, j] pairs')
-    g = build_graph(obj["nodes"], [tuple(e) for e in obj["edges"]])
+    g = build_graph(obj["nodes"], obj["edges"])
     ts = None
     if "tessellations" in obj and obj["tessellations"] is not None:
         if not isinstance(obj["tessellations"], list):

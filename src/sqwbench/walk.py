@@ -2,13 +2,13 @@
 
 Each tessellation yields a reflection operator H = 2*sum |a><a| - I
 (one projector per element), which squares to the identity.  Its
-exponential therefore acts on every 2-node element as the rotation
+exponential is therefore
 
-    [[cos(theta), i sin(theta)],
-     [i sin(theta), cos(theta)]]
+    exp(i*theta*H) = cos(theta) + i sin(theta) H,
 
-and the evolution never needs a dense matrix: amplitudes are updated
-pair by pair.  Singleton elements pick up a phase that depends on the
+where H swaps the two nodes of each pair, so the evolution never needs
+a dense matrix: H psi is one gather of the state through the swap
+permutation.  Singleton elements pick up a phase that depends on the
 convention: the abstract model applies exp(i*theta) (the reflection has
 eigenvalue +1 there), while the hardware-facing physical convention
 leaves them untouched (the uncoupled resonator contributes only its
@@ -103,22 +103,19 @@ def _as_state(state) -> np.ndarray:
 def local_unitary(state, t: Tessellation, cfg: WalkConfig) -> np.ndarray:
     """Apply exp(i*theta*H) for one tessellation of the state's nodes.
 
-    Pairs get the analytic 2x2 rotation; singletons get exp(i*theta)
-    under the abstract convention and 1 under the physical one.
+    Returns cos(theta)*psi + i*sin(theta)*H psi, with H psi gathered
+    through the tessellation's swap permutation; singletons get
+    exp(i*theta) under the abstract convention and 1 under the physical one.
     """
     psi = _as_state(state)
     _require_partition(t, psi.shape[0])
-    out = psi.copy()
     c = math.cos(cfg.theta)
     s = math.sin(cfg.theta)
-    if len(t.pairs):
-        rows = t.pairs[:, 0]
-        cols = t.pairs[:, 1]
-        a = out[rows]
-        b = out[cols]
-        out[rows] = c * a + 1j * s * b
-        out[cols] = 1j * s * a + c * b
-    if cfg.convention == CONVENTION_ABSTRACT and len(t.singletons):
+    out = c * psi + 1j * s * psi[t._partner]
+    # H fixes singletons, so the formula gave them c*psi + i*s*psi; restore them, and for the
+    # abstract phase take one in-place complex product, which can round differently from that sum
+    out[t.singletons] = psi[t.singletons]
+    if cfg.convention == CONVENTION_ABSTRACT:
         out[t.singletons] *= complex(c, s)
     return out
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqwbench._format import distribution_csv, fmt17
+from sqwbench._format import distribution_csv, dumps_17g, fmt17
 
 probabilities = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False, allow_subnormal=True)
+finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def per_cell_csv(distributions):
@@ -53,3 +55,21 @@ class TestDistributionCsv:
 
     def test_single_node_single_step(self):
         assert distribution_csv([np.array([1.0])]) == "step,node,probability\n0,0,1\n"
+
+
+class TestDumps17g:
+    def test_float_free_payload_matches_json_dumps(self):
+        payload = {"n": 14, "steps": 0, "convention": "abstract", "source": 'file:é"x\n', "ok": True, "none": None}
+        assert dumps_17g(payload) == json.dumps(payload, indent=2)
+
+    def test_floats_at_17_digits(self):
+        payload = {"theta": 0.9, "flux_on": 1.0, "kappa": -1028097731.7831001, "tiny": 5e-324, "n": 3}
+        assert dumps_17g(payload) == (
+            '{\n  "theta": 0.90000000000000002,\n  "flux_on": 1,\n  "kappa": -1028097731.7831001,\n'
+            '  "tiny": 4.9406564584124654e-324,\n  "n": 3\n}'
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.text(), st.none() | st.booleans() | st.integers() | st.text() | finite, min_size=1))
+    def test_round_trip(self, payload):
+        assert json.loads(dumps_17g(payload)) == payload

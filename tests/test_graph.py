@@ -1,17 +1,21 @@
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sqwbench
 from sqwbench.errors import ValidationError
 from sqwbench.graph import (
-    Graph,
     Tessellation,
     TessellationSet,
     build_graph,
@@ -91,8 +95,7 @@ class TestBuildGraph:
                 graph_from_json(json.dumps({"nodes": 4, "edges": edges}))
         else:
             with pytest.raises(ValidationError) as excinfo:
-                # build_graph tuple()s each edge, so a bare number goes to Graph itself
-                build_graph(4, edges) if isinstance(bad, list) else Graph(4, tuple(edges))
+                build_graph(4, edges)
         assert str(excinfo.value) == message
 
     def test_value_semantics(self):
@@ -166,6 +169,53 @@ class TestValidateTessellation:
         g = path_graph(2)
         t = Tessellation(((0, 1), (5,)))
         assert any("outside" in v for v in validate_tessellation(g, t))
+
+    @pytest.mark.parametrize(
+        "n,elements,messages",
+        [
+            (6, ((0, 1), (4,)), ["nodes [2, 3, 5] are not covered by any element"]),
+            (
+                4,
+                ((0, 1), (7,)),
+                ["element (7,) references node 7 outside [0, 4)", "nodes [2, 3] are not covered by any element"],
+            ),
+            (22, ((0, 1),), [f"nodes {list(range(2, 22))} are not covered by any element"]),
+            (
+                24,
+                ((0, 1), (5,)),
+                [f"nodes {[2, 3, 4, *range(6, 23)]} and 1 more (21 in all) are not covered by any element"],
+            ),
+        ],
+        ids=["gap", "out-of-range", "twenty", "twenty-one"],
+    )
+    def test_uncovered_nodes_named(self, n, elements, messages):
+        assert validate_tessellation(build_graph(n, [(0, 1)]), Tessellation(elements)) == messages
+
+    def test_huge_gap_counted_not_listed(self):
+        # under an address-space cap, so listing every uncovered node fails with MemoryError
+        # instead of taking the machine's memory; one BLAS thread keeps numpy's import small
+        code = (
+            "import json, resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, 1536 * 2**20))\n"
+            "from sqwbench.graph import graph_from_json\n"
+            "from sqwbench.errors import ValidationError\n"
+            "try:\n"
+            "    graph_from_json(json.dumps({'nodes': 2**40, 'edges': [[0, 1]], 'tessellations': [[[0, 1]]]}))\n"
+            "except ValidationError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(sqwbench.__file__).parents[1])
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": "1",
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == (
+            "invalid tessellations in graph JSON: tessellation 0: "
+            f"nodes {list(range(2, 22))} and 1099511627754 more (1099511627774 in all) are not covered by any element\n"
+        )
 
     def test_stable_under_element_reordering(self):
         g = path_graph(9)

@@ -1,11 +1,12 @@
 import dataclasses
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from sqwbench._format import dumps_17g
+from sqwbench._format import fmt17
 from sqwbench.circuit import DEFAULT_PARAMS, CircuitParams
 from sqwbench.errors import UnreachableFluxError, ValidationError
 from sqwbench.graph import (
@@ -34,19 +35,21 @@ def compile_quietly(*args, **kwargs):
 
 
 def reference_emit(s):
-    """schedule.json built as a payload dict and written by dumps_17g."""
+    """schedule.json built as a payload dict and written by json.dumps, header floats put in at 17 digits."""
+    floats = {"tau_s": s.tau_seconds, "flux_on": s.flux_on_ratio, "flux_off": s.flux_off_ratio}
     payload = {
         "version": SCHEDULE_SCHEMA_VERSION,
-        "tau_s": float(s.tau_seconds),
-        "flux_on": float(s.flux_on_ratio),
-        "flux_off": float(s.flux_off_ratio),
+        **{key: f"<{key}>" for key in floats},
         "steps": int(s.repetitions),
         "intervals": [
             {"idx": int(iv.index), "on": [[int(i), int(j)] for i, j in iv.on_pairs]}
             for iv in s.intervals
         ],
     }
-    return dumps_17g(payload) + "\n"
+    text = json.dumps(payload, indent=2)
+    for key, x in floats.items():
+        text = text.replace(f'"<{key}>"', fmt17(x))
+    return text + "\n"
 
 
 def reference_validate(s, g):
@@ -249,7 +252,7 @@ class TestValidateMatchesPairByPair:
 
 
 class TestEmitterBytes:
-    """emit_schedule writes exactly what dumps_17g writes for the same payload."""
+    """emit_schedule writes exactly what json.dumps lays out for the same payload."""
 
     CASES = [(generate_path_tessellations, n) for n in range(1, 7)] + [
         (generate_lattice_tessellations, dims) for dims in [(1,), (2, 2), (4, 3), (3, 3, 2)]

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -327,6 +328,23 @@ def kernel_operand(elements, n):
 
 
 class TestPartitionGuarantee:
+    @pytest.mark.parametrize(
+        "elements,partitioned",
+        [
+            (((0, 1), (1, 2), (3,)), []),
+            (((0, 1), (3,)), []),
+            (((0, 1), (2, 3), (4,)), [5]),
+            ((), [0]),
+            (((1,), (0,)), [2]),
+            (((0, 1), (2,)), [3]),
+        ],
+        ids=["duplicated node", "gap", "out of range for 4", "empty", "singletons", "pair and singleton"],
+    )
+    def test_partitions_verdict(self, elements, partitioned):
+        # n = 0 is asked first, before the verdict is cached
+        t = Tessellation(elements)
+        assert [n for n in range(7) if t.partitions(n)] == partitioned
+
     @pytest.mark.parametrize("elements", NON_PARTITIONS_OF_4.values(), ids=NON_PARTITIONS_OF_4.keys())
     def test_local_unitary_rejects_non_partition(self, elements):
         with pytest.raises(ValidationError):
@@ -337,3 +355,56 @@ class TestPartitionGuarantee:
         ts = TessellationSet((Tessellation(((0, 1), (2, 3))), Tessellation(elements)))
         with pytest.raises(ValidationError):
             evolve(initial_basis_state(4, 0), ts, WalkConfig(0.3, 1))
+
+
+def reference_local_unitary(state, t, cfg):
+    """The pair-by-pair kernel: copy the state, gather both pair columns, rotate them, scatter them back."""
+    out = np.array(state, dtype=complex)
+    c = math.cos(cfg.theta)
+    s = math.sin(cfg.theta)
+    if len(t.pairs):
+        rows = t.pairs[:, 0]
+        cols = t.pairs[:, 1]
+        a = out[rows]
+        b = out[cols]
+        out[rows] = c * a + 1j * s * b
+        out[cols] = 1j * s * a + c * b
+    if cfg.convention == CONVENTION_ABSTRACT and len(t.singletons):
+        out[t.singletons] *= complex(c, s)
+    return out
+
+
+def greedy_bipartite_tessellations():
+    rng = random.Random(11)
+    edges = {(i, 12 + j) for i in range(12) for j in range(12) if rng.random() < 0.3}
+    # nodes 24..26 have no edges, so they are singletons in every tessellation
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return greedy_tessellate(build_graph(27, sorted(edges)))
+
+
+KERNEL_TESSELLATIONS = {
+    "path": generate_path_tessellations(11)[1],
+    "lattice-3d": generate_lattice_tessellations((3, 4, 2))[1],
+    "greedy": greedy_bipartite_tessellations(),
+    "interior-singletons": TessellationSet(
+        (Tessellation(((0, 3), (1,), (2, 5), (4,), (6,), (7, 9), (8,))), Tessellation(((4,), (2,), (0,), (1, 3))))
+    ),
+}
+
+
+class TestKernelBits:
+    """local_unitary gives bit for bit what the pair-by-pair kernel gives."""
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 3, 0.9, 7 * math.pi / 24, -2.5])
+    @pytest.mark.parametrize("convention", [CONVENTION_ABSTRACT, CONVENTION_PHYSICAL])
+    @pytest.mark.parametrize("name", KERNEL_TESSELLATIONS)
+    def test_same_bytes(self, name, convention, theta):
+        cfg = WalkConfig(theta, convention=convention)
+        rng = np.random.default_rng(7)
+        for t in KERNEL_TESSELLATIONS[name]:
+            n = 2 * len(t.pairs) + len(t.singletons)
+            for _ in range(3):
+                psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+                psi /= np.linalg.norm(psi)
+                assert local_unitary(psi, t, cfg).tobytes() == reference_local_unitary(psi, t, cfg).tobytes()
