@@ -175,6 +175,8 @@ def cmd_circuit(args) -> int:
             f"{exc} (required E_J >= {required:.6g} J)",
             required_energy_scale=exc.required_energy_scale,
         ) from None
+    # an unusable --theta must fail before any file is written
+    tau = pulse_duration(args.theta, operating.coupling_on.kappa_total, reduce_period=True)
     all_on = couplings(operating.mode_all_on, operating.mode_all_on, operating.chi_c, -operating.chi_l_max)
     report = {
         "kL": operating.mode_all_on.kl,
@@ -214,7 +216,6 @@ def cmd_circuit(args) -> int:
             )
         _guarded_write(out / "sweep.csv", "\n".join(rows) + "\n", args.force)
 
-    tau = pulse_duration(args.theta, operating.coupling_on.kappa_total, reduce_period=True)
     budget_note = (
         "WARNING: flux pulses cannot settle within one interval"
         if tau < SWITCHING_BUDGET_SECONDS

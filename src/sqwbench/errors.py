@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ValidationError", "UnreachableFluxError", "NumericError"]
+
 
 class ValidationError(ValueError):
     """An input or domain object violates its structural contract."""

@@ -2,7 +2,7 @@
 
 A tessellation partitions the node set into cliques.  On triangle-free
 graphs cliques have at most two nodes, so every tessellation element is
-either a single node or an edge.  A tessellation set is an ordered list
+either a single node or an edge.  A tessellation set is an ordered tuple
 of tessellations whose two-node elements jointly cover every edge; the
 order fixes the order in which the walk's local operators are applied.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, islice
 
@@ -50,8 +49,7 @@ class Graph:
     ``edge_array`` holds the edges once, canonically: a read-only
     ``(m, 2)`` int array, each row low-high, the rows sorted, no
     duplicates and no self-loops.  ``edges`` is the same list as int
-    tuples.  Use :func:`build_graph` to construct from unnormalized
-    input.
+    tuples.
     """
 
     def __init__(self, node_count: int, edges=()):
@@ -119,7 +117,9 @@ class Graph:
         Ranks keep the order of nodes and rows and stay below 2m, so arrays indexed by them
         are sized by the edges, not by ``node_count``.
         """
-        endpoints = np.unique(self.edge_array)
+        # sort and compare neighbours: faster than np.unique's hash path, and a lower peak than its return_inverse
+        flat = np.sort(self.edge_array, axis=None)
+        endpoints = np.r_[flat[:1], flat[1:][flat[1:] != flat[:-1]]]
         return endpoints, np.searchsorted(endpoints, self.edge_array)
 
     def _edge_index(self, pairs: np.ndarray) -> np.ndarray:
@@ -221,23 +221,8 @@ class Tessellation:
         return f"Tessellation({self.elements!r})"
 
 
-@dataclass(frozen=True)
-class TessellationSet:
-    """Ordered tessellations; the order is the operator application order."""
-
-    tessellations: tuple[Tessellation, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "tessellations", tuple(self.tessellations))
-
-    def __iter__(self):
-        return iter(self.tessellations)
-
-    def __len__(self):
-        return len(self.tessellations)
-
-    def __getitem__(self, idx):
-        return self.tessellations[idx]
+# ordered tessellations, a plain tuple; the order is the operator application order
+TessellationSet = tuple
 
 
 def build_graph(node_count: int, edges) -> Graph:
@@ -290,12 +275,14 @@ def _partition_violations(t: Tessellation, node_count: int) -> list[str]:
 def validate_tessellation_set(g: Graph, ts: TessellationSet) -> list[str]:
     """Validate every tessellation and the union edge-cover requirement."""
     violations = []
+    covered = np.zeros(len(g.edge_array), dtype=bool)
     for k, t in enumerate(ts):
         violations.extend(f"tessellation {k}: {msg}" for msg in validate_tessellation(g, t))
-    covered = np.concatenate([np.empty(0, dtype=np.intp)] + [g._edge_index(t.pairs) for t in ts])
-    uncovered = np.setdiff1d(np.arange(len(g.edge_array)), covered)
-    if uncovered.size:
-        violations.append(f"edges {[g.edges[k] for k in uncovered.tolist()]} are not covered by any tessellation")
+        rows = g._edge_index(t.pairs)
+        covered[rows[rows >= 0]] = True
+    if not covered.all():
+        uncovered = np.flatnonzero(~covered).tolist()
+        violations.append(f"edges {[g.edges[k] for k in uncovered]} are not covered by any tessellation")
     return violations
 
 
@@ -343,7 +330,7 @@ def generate_lattice_tessellations(dims) -> tuple[Graph, TessellationSet]:
         for lo, hi, par in axis_pairs
         for p in (0, 1)
     ]
-    return g, TessellationSet(tuple(tessellations))
+    return g, tuple(tessellations)
 
 
 def greedy_tessellate(g: Graph) -> TessellationSet:
@@ -389,7 +376,7 @@ def greedy_tessellate(g: Graph) -> TessellationSet:
             RuntimeWarning,
             stacklevel=2,
         )
-    return TessellationSet(tuple(tessellations))
+    return tuple(tessellations)
 
 
 def graph_to_json(g: Graph, ts: TessellationSet | None = None) -> str:
@@ -429,7 +416,7 @@ def graph_from_json(text: str) -> tuple[Graph, TessellationSet | None]:
             if not isinstance(raw, list) or not all(isinstance(el, list) for el in raw):
                 raise ValidationError(f"tessellation entry {raw!r} must be a list of node lists")
             tessellations.append(Tessellation(tuple(tuple(el) for el in raw)))
-        ts = TessellationSet(tuple(tessellations))
+        ts = tuple(tessellations)
         violations = validate_tessellation_set(g, ts)
         if violations:
             raise ValidationError("invalid tessellations in graph JSON: " + "; ".join(violations))

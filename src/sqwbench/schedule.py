@@ -143,9 +143,7 @@ def simulate_compiled(run: CompiledRun, state, graph: Graph, convention: str = "
     violations = validate_schedule(run.schedule, graph)
     if violations:
         raise ValidationError("cannot simulate an invalid schedule: " + "; ".join(violations))
-    decoded = TessellationSet(
-        tuple(Tessellation._from_pairs(iv.on_pairs, graph.node_count) for iv in run.schedule.intervals)
-    )
+    decoded = tuple(Tessellation._from_pairs(iv.on_pairs, graph.node_count) for iv in run.schedule.intervals)
     return evolve(state, decoded, WalkConfig(theta=run.theta, steps=1, convention=convention), graph=graph)
 
 

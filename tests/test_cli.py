@@ -11,6 +11,7 @@ import pytest
 import sqwbench
 from sqwbench._format import fmt17
 from sqwbench.cli import main, parse_theta
+from sqwbench.errors import NumericError
 from sqwbench.graph import (
     build_graph,
     generate_lattice_tessellations,
@@ -58,6 +59,20 @@ class TestThetaParsing:
         code = main(["walk", "--path", "5", "--theta", "tau/3", "--out", str(tmp_path)])
         assert code == 1
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            ("--theta", "pi/0", "zero denominator in angle 'pi/0'"),
+            ("--lattice", "3,x", "cannot parse lattice dimensions '3,x'"),
+            ("--lattice", ",", "cannot parse lattice dimensions ','"),
+        ],
+    )
+    def test_unparsable_value_is_usage_error(self, tmp_path, capsys, option, value, message):
+        graph = [] if option == "--lattice" else ["--path", "5"]
+        assert main(["walk", *graph, option, value, "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestWalkCommand:
@@ -130,6 +145,15 @@ class TestWalkCommand:
         assert main(["walk", "--graph", str(graph_file), "--steps", "2", "--out", str(out)]) == 0
         meta = json.loads((out / "run.json").read_text())
         assert meta["tessellation_source"].startswith("file+greedy")
+
+    def test_graph_file_with_tessellations(self, tmp_path):
+        g, ts = generate_lattice_tessellations((3, 2))
+        graph_file = tmp_path / "graph.json"
+        graph_file.write_text(graph_to_json(g, ts))
+        out = tmp_path / "out"
+        assert main(["walk", "--graph", str(graph_file), "--steps", "2", "--out", str(out)]) == 0
+        meta = json.loads((out / "run.json").read_text())
+        assert meta["tessellation_source"] == f"file:{graph_file}"
 
     def test_triangle_graph_file_rejected(self, tmp_path, capsys):
         g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -253,6 +277,29 @@ class TestCircuitCommand:
         err = capsys.readouterr().err
         assert "required E_J" in err
 
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+    def test_non_finite_theta_writes_nothing(self, tmp_path, capsys, theta):
+        out = tmp_path / "out"
+        assert main(["circuit", f"--theta={theta}", "--sweep", "2", "--out", str(out)]) == 2
+        assert "theta must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_sweep_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["circuit", "--sweep", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "usage error: --sweep must be non-negative, got -1\n"
+        assert not out.exists()
+
+    def test_numeric_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        def diverges(params):
+            raise NumericError("mode equation root did not converge")
+
+        monkeypatch.setattr("sqwbench.cli.solve_operating_point", diverges)
+        out = tmp_path / "out"
+        assert main(["circuit", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "numeric failure: mode equation root did not converge\n"
+        assert not out.exists()
+
     def test_deterministic_report(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["circuit", "--sweep", "8", "--out", str(a)]) == 0
@@ -264,6 +311,12 @@ class TestCircuitCommand:
         bad = tmp_path / "bad.json"
         bad.write_text('{"josephson_energy": 1e-24')
         assert main(["circuit", "--params", str(bad), "--out", str(tmp_path)]) == 2
+
+    def test_non_object_params_file_is_domain_error(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1e-10, 2.5e-7]")
+        assert main(["circuit", "--params", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: parameter file {bad} must hold a JSON object\n"
 
     def test_unknown_param_key_is_domain_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -281,6 +334,12 @@ class TestScheduleCommand:
         out = capsys.readouterr().out
         assert "validation: ok" in out
         assert "feasibility" in out and "0.1 us" in out
+
+    def test_failed_validation_is_domain_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("sqwbench.cli.validate_schedule", lambda s, g: ["interval 0: stand-in violation"])
+        assert main(["schedule", "--path", "5", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "validation: interval 0: stand-in violation\nerror: compiled schedule failed validation\n"
 
     def test_zero_steps_schedule(self, tmp_path):
         assert main(["schedule", "--path", "5", "--steps", "0", "--out", str(tmp_path)]) == 0

@@ -237,6 +237,38 @@ class TestValidateTessellation:
         with pytest.raises(ValidationError):
             Tessellation(((0, 1, 2),))
 
+    @pytest.mark.parametrize(
+        "element,message",
+        [
+            (5, "tessellation element 5 is not a node collection"),
+            ((-1, 2), "tessellation element (-1, 2) has invalid node indices"),
+            ((True, 2), "tessellation element (True, 2) has invalid node indices"),
+            ((3, 3), "tessellation element (3, 3) repeats a node"),
+        ],
+        ids=["not-a-collection", "negative", "bool", "repeated"],
+    )
+    def test_bad_element_rejected_on_construction(self, element, message):
+        with pytest.raises(ValidationError) as info:
+            Tessellation(((0, 1), element))
+        assert str(info.value) == message
+
+
+class TestTessellationSet:
+    def test_is_an_ordered_tuple(self):
+        a, b = Tessellation(((0, 1),)), Tessellation(((0,), (1,)))
+        ts = TessellationSet((a, b))
+        assert type(ts) is tuple and ts == (a, b) and list(ts) == [a, b]
+        assert len(ts) == 2 and ts[0] is a and ts[-1] is b and ts[::-1] == (b, a)
+        assert TessellationSet([a, b]) == ts != TessellationSet((b, a))
+        assert hash(ts) == hash(TessellationSet((a, b)))
+
+    def test_every_constructor_returns_a_tuple(self):
+        g, ts = generate_lattice_tessellations((3, 2))
+        assert type(ts) is tuple
+        assert type(generate_path_tessellations(4)[1]) is tuple
+        assert type(greedy_tessellate(g)) is tuple
+        assert type(graph_from_json(graph_to_json(g, ts))[1]) is tuple
+
 
 class TestPathGenerator:
     def test_five_nodes(self):
@@ -503,6 +535,11 @@ class TestGraphJson:
     def test_missing_keys(self):
         with pytest.raises(ValidationError, match="nodes"):
             graph_from_json('{"edges": []}')
+
+    @pytest.mark.parametrize("text", ["[]", "[3, [[0, 1]]]", "3", "null"])
+    def test_non_object_rejected(self, text):
+        with pytest.raises(ValidationError, match="^graph JSON must be an object$"):
+            graph_from_json(text)
 
     def test_invalid_tessellation_rejected_on_load(self):
         payload = {"nodes": 3, "edges": [[0, 1], [1, 2]], "tessellations": [[[0, 2], [1]]]}

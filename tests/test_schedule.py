@@ -135,6 +135,12 @@ class TestCompile:
         with pytest.raises(UnreachableFluxError):
             compile_schedule(g, ts, math.pi / 3, weak, 1)
 
+    @pytest.mark.parametrize("steps", [-1, 1.0, None])
+    def test_bad_steps_rejected(self, steps):
+        g, ts = generate_path_tessellations(5)
+        with pytest.raises(ValidationError, match="steps must be a non-negative integer"):
+            compile_schedule(g, ts, math.pi / 3, DEFAULT_PARAMS, steps)
+
     def test_zero_angle_rejected(self):
         g, ts = generate_path_tessellations(5)
         with pytest.raises(ValidationError):
@@ -295,6 +301,9 @@ class TestFeasibility:
         assert feasibility_notes(s) == []
 
 
+HEADER = {"version": 1, "tau_s": 1e-6, "flux_on": 1.0, "flux_off": 0.48, "steps": 1, "intervals": []}
+
+
 class TestWireFormat:
     def test_round_trip_identity(self):
         g, ts = generate_lattice_tessellations([3, 3])
@@ -323,6 +332,33 @@ class TestWireFormat:
     def test_missing_key_rejected(self):
         with pytest.raises(ValidationError, match="missing key"):
             parse_schedule('{"version": 1}')
+
+    @pytest.mark.parametrize("text", ["[]", "[1, 2]", "1e-6", "null"])
+    def test_non_object_rejected(self, text):
+        with pytest.raises(ValidationError, match="^schedule JSON must be an object$"):
+            parse_schedule(text)
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"flux_on": "1.0"}, "flux_on must be a number, got '1.0'"),
+            ({"flux_off": True}, "flux_off must be a number, got True"),
+            ({"steps": -1}, "steps must be a non-negative integer, got -1"),
+            ({"steps": True}, "steps must be a non-negative integer, got True"),
+            ({"steps": 1.5}, "steps must be a non-negative integer, got 1.5"),
+            ({"intervals": {"idx": 0, "on": []}}, "intervals must be a list"),
+            ({"intervals": [{"on": []}]}, "interval entry {'on': []} needs 'idx' and 'on'"),
+            ({"intervals": [{"idx": 0}]}, "interval entry {'idx': 0} needs 'idx' and 'on'"),
+            ({"intervals": [[0, []]]}, "interval entry [0, []] needs 'idx' and 'on'"),
+            ({"intervals": [{"idx": "0", "on": []}]}, "interval idx must be an integer, got '0'"),
+            ({"intervals": [{"idx": True, "on": []}]}, "interval idx must be an integer, got True"),
+            ({"intervals": [{"idx": 1.0, "on": []}]}, "interval idx must be an integer, got 1.0"),
+        ],
+    )
+    def test_bad_field_named(self, fields, message):
+        with pytest.raises(ValidationError) as info:
+            parse_schedule(json.dumps({**HEADER, **fields}))
+        assert str(info.value) == message
 
     def test_double_driven_node_rejected_on_load(self):
         text = (

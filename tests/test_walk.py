@@ -129,6 +129,13 @@ class TestLocalUnitary:
         with pytest.raises(ValidationError):
             local_unitary(initial_basis_state(5, 0), h, WalkConfig(0.3))
 
+    def test_two_dimensional_state_rejected(self):
+        g, ts = generate_path_tessellations(4)
+        # unit norm, so only the shape check can reject it
+        psi = initial_basis_state(4, 0).reshape(2, 2)
+        with pytest.raises(ValidationError, match="^state must be a one-dimensional amplitude vector$"):
+            local_unitary(psi, ts[0], WalkConfig(0.3))
+
     def test_periodicity_mod_two_pi(self):
         g, ts = generate_path_tessellations(5)
         h = hamiltonian_from_tessellation(g, ts[1])
