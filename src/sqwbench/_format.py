@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 
-__all__ = ["fmt17", "dumps_17g", "distribution_csv"]
+__all__ = ["fmt17", "dumps_17g", "distribution_rows", "distribution_csv"]
 
 
 def fmt17(x: float) -> str:
@@ -14,19 +14,23 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def distribution_csv(distributions) -> str:
-    """distribution.csv text: header, then a ``step,node,probability`` row per node, step-major.
+def distribution_rows(n: int):
+    """``rows(step, dist)``: one step's ``step,node,probability`` rows of an n-node distribution.csv.
 
-    ``distributions`` holds one equal-length probability vector per recorded
-    step, at least one.  Each step fills one ``%``-template in C;
-    ``"%.17g" % x`` renders the same digits as :func:`fmt17`.
+    Step 0's text starts with the header, so the file is the steps' texts in
+    order.  The ``%``-template of the n nodes is built once, here; each call
+    fills it in C, and ``"%.17g" % x`` renders the same digits as :func:`fmt17`.
     """
-    body = "".join(f"\n{node},%.17g" for node in range(len(distributions[0])))
-    parts = ["step,node,probability"]
-    for step, dist in enumerate(distributions):
-        parts.append(body.replace("\n", f"\n{step},") % tuple(np.asarray(dist, dtype=float).tolist()))
-    parts.append("\n")
-    return "".join(parts)
+    body = "".join(f"\t{node},%.17g\n" for node in range(n))
+    return lambda step, dist: ("" if step else "step,node,probability\n") + body.replace("\t", f"{step},") % tuple(
+        np.asarray(dist, dtype=float).tolist()
+    )
+
+
+def distribution_csv(distributions) -> str:
+    """distribution.csv text of one equal-length probability vector per recorded step, at least one."""
+    rows = distribution_rows(len(distributions[0]))
+    return "".join(rows(step, dist) for step, dist in enumerate(distributions))
 
 
 def dumps_17g(payload: dict) -> str:

@@ -15,7 +15,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from ._format import distribution_csv, dumps_17g, fmt17
+from ._format import distribution_rows, dumps_17g, fmt17
 from .circuit import (
     DEFAULT_PARAMS,
     CircuitParams,
@@ -39,6 +39,8 @@ from .svgplot import distribution_svg
 from .walk import WalkConfig, evolve, initial_basis_state, probability_distribution
 
 __all__ = ["main", "parse_theta"]
+
+_WRITE_SLICE = 1 << 20  # characters per write, so no encoded copy of a whole file is held
 
 
 class _UsageError(Exception):
@@ -124,7 +126,9 @@ def _ensure_writable(paths, force: bool) -> None:
 def _guarded_write(path: Path, text: str, force: bool) -> None:
     _ensure_writable([path], force)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with path.open("w") as f:
+        for start in range(0, len(text), _WRITE_SLICE):
+            f.write(text[start : start + _WRITE_SLICE])
     print(f"wrote {path}")
 
 
@@ -139,10 +143,10 @@ def cmd_walk(args) -> int:
     start = args.start if args.start is not None else (g.node_count - 1) // 2
     state = initial_basis_state(g.node_count, start)
     cfg = WalkConfig(theta=args.theta, steps=args.steps, convention=args.convention)
-    _, history = evolve(state, ts, cfg, graph=g, keep_history=True)
-    distributions = [probability_distribution(s) for s in history]
-
-    _guarded_write(out / "distribution.csv", distribution_csv(distributions), args.force)
+    rows, parts = distribution_rows(g.node_count), []  # each step's rows are formatted as evolve reaches it
+    final = evolve(state, ts, cfg, graph=g, on_step=lambda k, psi: parts.append(rows(k, probability_distribution(psi))))
+    text, parts = "".join(parts), None  # the parts go before the write, so the peak is the join: two CSV copies
+    _guarded_write(out / "distribution.csv", text, args.force)
 
     metadata = {
         "n": g.node_count,
@@ -155,7 +159,7 @@ def cmd_walk(args) -> int:
 
     if args.svg:
         title = f"final distribution after {args.steps} steps (start {start})"
-        _guarded_write(out / "distribution.svg", distribution_svg(distributions[-1], title), args.force)
+        _guarded_write(out / "distribution.svg", distribution_svg(probability_distribution(final), title), args.force)
     return 0
 
 
@@ -296,6 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(argv))):  # argparse would take a negative angle such as -pi/2 for a flag
+        if argv[i - 1] == "--theta" and re.match(r"-[^-]", argv[i]):
+            argv[i - 1 : i + 1] = [f"--theta={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

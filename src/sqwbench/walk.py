@@ -126,14 +126,16 @@ def evolve(
     cfg: WalkConfig,
     graph: Graph | None = None,
     keep_history: bool = False,
+    on_step=None,
 ):
     """Apply one local unitary per tessellation, in order, ``cfg.steps`` times.
 
     With a graph, every tessellation is validated against it first;
-    without one, only the partition structure is checked.  When
-    ``keep_history`` is set, returns ``(final_state, history)`` where
-    ``history[l]`` is the state after l full steps (index 0 is the
-    input); otherwise just the final state.
+    without one, only the partition structure is checked.  ``on_step(l, psi)``
+    is called with the state after l full steps, l = 0 (the input array
+    itself) to ``cfg.steps``; it must not modify ``psi``, and must copy it to
+    keep it.  When ``keep_history`` is set, returns ``(final_state, history)``
+    with ``history[l]`` such a copy; otherwise just the final state.
     """
     psi = _as_state(state)
     n = psi.shape[0]
@@ -143,15 +145,16 @@ def evolve(
         tessellations = [hamiltonian_from_tessellation(graph, t) for t in ts]
     else:
         tessellations = [_require_partition(t, n) for t in ts]
-    history = [psi.copy()] if keep_history else None
-    for _ in range(cfg.steps):
-        for t in tessellations:
-            psi = local_unitary(psi, t, cfg)
+    history = []
+    for step in range(cfg.steps + 1):
+        if step:
+            for t in tessellations:
+                psi = local_unitary(psi, t, cfg)
         if keep_history:
             history.append(psi.copy())
-    if keep_history:
-        return psi, history
-    return psi
+        if on_step is not None:
+            on_step(step, psi)
+    return (psi, history) if keep_history else psi
 
 
 def probability_distribution(state) -> np.ndarray:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,24 @@ class TestThetaParsing:
         assert main(["walk", *graph, option, value, "--out", str(tmp_path / "out")]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_negative_angle_as_separate_argument(self, tmp_path):
+        assert main(["walk", "--path", "5", "--theta", "-pi/2", "--out", str(tmp_path / "sep")]) == 0
+        assert json.loads((tmp_path / "sep" / "run.json").read_text())["theta"] == -math.pi / 2
+        assert main(["walk", "--path", "5", "--theta=-pi/2", "--out", str(tmp_path / "eq")]) == 0
+        for name in ("distribution.csv", "run.json"):
+            assert (tmp_path / "sep" / name).read_bytes() == (tmp_path / "eq" / name).read_bytes()
+
+    def test_negative_angle_for_circuit_and_schedule(self, tmp_path, capsys):
+        assert main(["circuit", "--theta", "-pi/3", "--out", str(tmp_path / "c")]) == 0
+        assert "at theta = -1.0472 " in capsys.readouterr().out
+        for name, form in (("sep", ["--theta", "-pi/2"]), ("eq", ["--theta=-pi/2"])):
+            assert main(["schedule", "--path", "5", *form, "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "sep" / "schedule.json").read_bytes() == (tmp_path / "eq" / "schedule.json").read_bytes()
+
+    def test_option_after_theta_is_still_a_missing_value(self, tmp_path, capsys):
+        assert main(["walk", "--path", "5", "--theta", "--force", "--out", str(tmp_path)]) == 1
+        assert "argument --theta: expected one argument" in capsys.readouterr().err
 
 
 class TestWalkCommand:
@@ -390,6 +409,34 @@ class TestScheduleCommand:
         monkeypatch.setattr("sqwbench.cli.cmd_schedule", lambda args: parse_schedule(text))
         assert main(["schedule", "--path", "5", "--out", str(tmp_path)]) in {1, 2, 3}
         assert capsys.readouterr().err == "error: interval 0: on must be a list of pairs\n"
+
+
+class TestFileWrites:
+    def test_walk_heap_peak_is_two_csv_copies(self, tmp_path):
+        # the CSV parts and their join are alive at once, but no state history, no list of
+        # distributions and no encoded copy of the whole file; keeping those made this 4.3x
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            assert main(["walk", "--path", "2001", "--steps", "100", "--out", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 2.5 * (tmp_path / "distribution.csv").stat().st_size
+
+    def test_sliced_write_matches_write_text(self, tmp_path):
+        size = sqwbench.cli._WRITE_SLICE
+        chars = list("step,node\n" * (size // 4))
+        assert len(chars) > 2 * size
+        for boundary in (size, 2 * size):
+            chars[boundary - 1], chars[boundary] = "é", "π"
+        for name, text in (("long", "".join(chars)), ("empty", "")):
+            sqwbench.cli._guarded_write(tmp_path / "sliced" / name, text, force=False)
+            (tmp_path / name).write_text(text)
+            assert (tmp_path / "sliced" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 class TestHelp:

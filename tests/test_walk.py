@@ -231,6 +231,14 @@ class TestEvolve:
         assert np.array_equal(history[0], psi)
         assert np.array_equal(history[-1], final)
 
+    def test_history_is_a_copy_of_the_input(self):
+        g, ts = generate_path_tessellations(9)
+        psi = initial_basis_state(9, 4)
+        _, history = evolve(psi, ts, WalkConfig(0.5, 2), graph=g, keep_history=True)
+        psi[4] = 0.0
+        psi[0] = 1.0
+        assert history[0][4] == 1.0 and history[0][0] == 0.0
+
     def test_dimension_mismatch_rejected(self):
         g, ts = generate_path_tessellations(5)
         with pytest.raises(ValidationError):
@@ -245,6 +253,58 @@ class TestEvolve:
         g, ts = generate_path_tessellations(3)
         with pytest.raises(ValidationError):
             evolve(np.array([float("nan"), 0.0, 0.0]), ts, WalkConfig(0.5), graph=g)
+
+
+class TestStepObserver:
+    @staticmethod
+    def observed(psi, ts, cfg, **kwargs):
+        calls = []
+        final = evolve(psi, ts, cfg, on_step=lambda step, s: calls.append((step, s.copy())), **kwargs)
+        return final, calls
+
+    @pytest.mark.parametrize("with_graph", [True, False])
+    def test_one_call_per_step_matching_history(self, with_graph):
+        g, ts = generate_lattice_tessellations((4, 3))
+        psi = initial_basis_state(g.node_count, 5)
+        cfg = WalkConfig(0.7, 4, CONVENTION_ABSTRACT)
+        graph = {"graph": g} if with_graph else {}
+        final, calls = self.observed(psi, ts, cfg, **graph)
+        want_final, history = evolve(psi, ts, cfg, keep_history=True, **graph)
+        assert [step for step, _ in calls] == list(range(cfg.steps + 1))
+        assert len(history) == len(calls)
+        assert all(np.array_equal(s, h) for (_, s), h in zip(calls, history))
+        assert np.array_equal(final, want_final) and np.array_equal(calls[-1][1], final)
+
+    def test_zero_steps_is_one_call(self):
+        g, ts = generate_path_tessellations(5)
+        psi = initial_basis_state(5, 2)
+        final, calls = self.observed(psi, ts, WalkConfig(0.5, 0), graph=g)
+        assert len(calls) == 1 and calls[0][0] == 0
+        assert np.array_equal(calls[0][1], psi) and np.array_equal(final, psi)
+
+    def test_observer_beside_history(self):
+        g, ts = generate_path_tessellations(7)
+        psi, calls = initial_basis_state(7, 3), []
+
+        def record(step, s):
+            calls.append(s.copy())
+
+        _, history = evolve(psi, ts, WalkConfig(0.5, 3), graph=g, keep_history=True, on_step=record)
+        assert len(calls) == len(history) == 4
+        assert all(np.array_equal(s, h) for s, h in zip(calls, history))
+
+    def test_kernel_runs_once_per_tessellation_and_step(self, monkeypatch):
+        g, ts = generate_lattice_tessellations((3, 3))
+        kernel_calls = []
+
+        def counting(psi, t, cfg):
+            kernel_calls.append(t)
+            return local_unitary(psi, t, cfg)
+
+        monkeypatch.setattr(walk, "local_unitary", counting)
+        _, calls = self.observed(initial_basis_state(9, 4), ts, WalkConfig(0.5, 5), graph=g)
+        assert len(kernel_calls) == len(ts) * 5
+        assert len(calls) == 6
 
 
 class TestStateHelpers:
