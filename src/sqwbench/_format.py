@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 
-__all__ = ["fmt17", "dumps_17g", "distribution_rows", "distribution_csv"]
+__all__ = ["fmt17", "dumps_17g", "distribution_rows"]
 
 
 def fmt17(x: float) -> str:
@@ -25,12 +25,6 @@ def distribution_rows(n: int):
     return lambda step, dist: ("" if step else "step,node,probability\n") + body.replace("\t", f"{step},") % tuple(
         np.asarray(dist, dtype=float).tolist()
     )
-
-
-def distribution_csv(distributions) -> str:
-    """distribution.csv text of one equal-length probability vector per recorded step, at least one."""
-    rows = distribution_rows(len(distributions[0]))
-    return "".join(rows(step, dist) for step, dist in enumerate(distributions))
 
 
 def dumps_17g(payload: dict) -> str:

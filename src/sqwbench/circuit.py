@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NumericError, UnreachableFluxError, ValidationError
+from .errors import NumericError, UnreachableFluxError, ValidationError, _is_number
 
 __all__ = [
     "CircuitParams",
@@ -82,7 +82,7 @@ class CircuitParams:
         for name in ("cap_per_length", "ind_per_length", "half_length",
                      "junction_capacitance", "josephson_energy", "flux_quantum"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if not (_is_number(value) and math.isfinite(value) and value > 0):
                 raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
 
     def wave_speed(self) -> float:
@@ -356,21 +356,13 @@ def solve_operating_point(params: CircuitParams, mode_index: int = 1, max_iterat
     chi_lm = abs(pair.chi_l)
     mode_all_on = solve_mode(chi_c, -chi_lm, -chi_lm, mode_index, params)
     kl = mode_all_on.kl
-    mode_operating = mode_all_on
     for _ in range(max_iterations):
-        chi_off = 4.0 * chi_c * kl * kl
-        if chi_off > chi_lm:
-            scale = chi_off / chi_lm
-            raise UnreachableFluxError(
-                f"off-state chi_l = {chi_off:.6g} exceeds the reachable maximum {chi_lm:.6g}; "
-                f"the Josephson energy would have to grow by a factor {scale:.4g}",
-                required_energy_scale=scale,
-            )
-        mode_operating = solve_mode(chi_c, -chi_lm, chi_off, mode_index, params)
-        if abs(mode_operating.kl - kl) < 1e-13:
-            kl = mode_operating.kl
-            break
+        solve_flux_off(chi_c, kl, chi_lm)  # raises UnreachableFluxError once the off point is out of reach
+        mode_operating = solve_mode(chi_c, -chi_lm, 4.0 * chi_c * kl * kl, mode_index, params)
+        converged = abs(mode_operating.kl - kl) < 1e-13
         kl = mode_operating.kl
+        if converged:
+            break
     else:
         raise NumericError("operating-point iteration did not converge")
     chi_off = 4.0 * chi_c * kl * kl

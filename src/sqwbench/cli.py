@@ -23,7 +23,6 @@ from .circuit import (
     couplings,
     josephson_coefficient,
     max_chi_l,
-    pulse_duration,
     solve_mode,
     solve_operating_point,
 )
@@ -34,9 +33,23 @@ from .graph import (
     graph_from_json,
     greedy_tessellate,
 )
-from .schedule import SWITCHING_BUDGET_SECONDS, compile_schedule, emit_schedule, feasibility_notes, validate_schedule
+from .schedule import (
+    PulseSchedule,
+    _interval_length,
+    compile_schedule,
+    emit_schedule,
+    feasibility_notes,
+    validate_schedule,
+)
 from .svgplot import distribution_svg
-from .walk import WalkConfig, evolve, initial_basis_state, probability_distribution
+from .walk import (
+    CONVENTION_ABSTRACT,
+    CONVENTION_PHYSICAL,
+    WalkConfig,
+    evolve,
+    initial_basis_state,
+    probability_distribution,
+)
 
 __all__ = ["main", "parse_theta"]
 
@@ -180,7 +193,7 @@ def cmd_circuit(args) -> int:
             required_energy_scale=exc.required_energy_scale,
         ) from None
     # an unusable --theta must fail before any file is written
-    tau = pulse_duration(args.theta, operating.coupling_on.kappa_total, reduce_period=True)
+    tau = _interval_length(args.theta, operating)
     all_on = couplings(operating.mode_all_on, operating.mode_all_on, operating.chi_c, -operating.chi_l_max)
     report = {
         "kL": operating.mode_all_on.kl,
@@ -220,15 +233,11 @@ def cmd_circuit(args) -> int:
             )
         _guarded_write(out / "sweep.csv", "\n".join(rows) + "\n", args.force)
 
-    budget_note = (
-        "WARNING: flux pulses cannot settle within one interval"
-        if tau < SWITCHING_BUDGET_SECONDS
-        else "interval fits the switching budget"
-    )
     print(
         f"feasibility: driven coupling {operating.coupling_on.kappa_total:.6g} rad/s; "
-        f"interval tau = {tau:.6g} s at theta = {args.theta:.6g} vs 0.1 us switching budget -- {budget_note}"
+        f"interval tau = {tau:.6g} s at theta = {args.theta:.6g} vs 0.1 us switching budget"
     )
+    _print_feasibility(PulseSchedule(tau, operating.flux_on, operating.flux_off, 0, ()))
     return 0
 
 
@@ -248,13 +257,14 @@ def cmd_schedule(args) -> int:
             print(f"validation: {message}", file=sys.stderr)
         raise ValidationError("compiled schedule failed validation")
     print(f"validation: ok ({len(run.schedule.intervals)} intervals, tau = {run.schedule.tau_seconds:.6g} s)")
-    notes = feasibility_notes(run.schedule)
-    if notes:
-        for note in notes:
-            print(f"feasibility: {note}")
-    else:
-        print("feasibility: interval fits the 0.1 us switching budget")
+    _print_feasibility(run.schedule)
     return 0
+
+
+def _print_feasibility(schedule: PulseSchedule) -> None:
+    """The schedule's hardware-budget verdict, one ``feasibility:`` line per note."""
+    for note in feasibility_notes(schedule) or ["interval fits the 0.1 us switching budget"]:
+        print(f"feasibility: {note}")
 
 
 def _add_graph_options(parser) -> None:
@@ -273,7 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     walk.add_argument("--theta", type=parse_theta, default=math.pi / 3, help="rotation angle (default pi/3)")
     walk.add_argument("--steps", type=int, default=1, help="number of full walk steps")
     walk.add_argument("--start", type=int, default=None, help="start node (default: middle node)")
-    walk.add_argument("--convention", choices=("physical", "abstract"), default="physical")
+    walk.add_argument(
+        "--convention", choices=(CONVENTION_PHYSICAL, CONVENTION_ABSTRACT), default=CONVENTION_PHYSICAL
+    )
     walk.add_argument("--out", default=".", metavar="DIR")
     walk.add_argument("--svg", action="store_true", help="also emit an SVG bar plot")
     walk.add_argument("--force", action="store_true", help="overwrite existing outputs")
@@ -306,20 +318,13 @@ def main(argv=None) -> int:
             argv[i - 1 : i + 1] = [f"--theta={argv[i]}"]
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

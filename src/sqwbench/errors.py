@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and input type rules shared across the package."""
 
 __all__ = ["ValidationError", "UnreachableFluxError", "NumericError"]
 
@@ -22,3 +22,12 @@ class UnreachableFluxError(ValidationError):
 
 class NumericError(RuntimeError):
     """A numeric routine failed to converge to its required tolerance."""
+
+
+# bool is an int subclass; JSON true/false must pass as neither an index nor a number
+def _is_index(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)

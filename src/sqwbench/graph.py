@@ -17,7 +17,7 @@ from itertools import chain, count, islice
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _is_index
 
 __all__ = [
     "Graph",
@@ -36,11 +36,6 @@ __all__ = [
 
 
 _MAX_INDEX = np.iinfo(np.intp).max
-
-
-def _is_index(value) -> bool:
-    # bool is an int subclass; JSON true/false must not pass as node indices
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class Graph:

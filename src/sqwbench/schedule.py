@@ -17,10 +17,10 @@ from itertools import chain
 import numpy as np
 
 from ._format import fmt17
-from .circuit import CircuitParams, pulse_duration, solve_operating_point
-from .errors import ValidationError
+from .circuit import CircuitParams, OperatingPoint, pulse_duration, solve_operating_point
+from .errors import ValidationError, _is_index, _is_number
 from .graph import Graph, Tessellation, TessellationSet, validate_tessellation_set
-from .walk import WalkConfig, evolve
+from .walk import CONVENTION_PHYSICAL, WalkConfig, evolve
 
 __all__ = [
     "SCHEDULE_SCHEMA_VERSION",
@@ -102,17 +102,12 @@ def compile_schedule(
     pairs of tessellation k.  Warns (never fails) when the interval is
     shorter than the switching budget of the drive lines.
     """
-    if not isinstance(steps, int) or steps < 0:
-        raise ValidationError(f"steps must be a non-negative integer, got {steps!r}")
+    WalkConfig(theta=theta, steps=steps)  # the walk's own rules for theta and the step count
     violations = validate_tessellation_set(g, ts)
     if violations:
         raise ValidationError("cannot compile invalid tessellations: " + "; ".join(violations))
     operating = solve_operating_point(params)
-    tau = pulse_duration(theta, operating.coupling_on.kappa_total, reduce_period=True)
-    if tau <= 0.0:
-        raise ValidationError(
-            f"theta {theta!r} yields non-positive interval length {tau!r}; use an angle with a positive reduced value"
-        )
+    tau = _interval_length(theta, operating)
     on_pairs = [tuple(map(tuple, t.pairs.tolist())) for t in ts]
     intervals = []
     index = 0
@@ -132,7 +127,17 @@ def compile_schedule(
     return CompiledRun(schedule=schedule, tessellations=ts, theta=theta)
 
 
-def simulate_compiled(run: CompiledRun, state, graph: Graph, convention: str = "physical") -> np.ndarray:
+def _interval_length(theta: float, operating: OperatingPoint) -> float:
+    """The interval length realizing theta at the driven coupling, theta reduced modulo 2*pi; it must be positive."""
+    tau = pulse_duration(theta, operating.coupling_on.kappa_total, reduce_period=True)
+    if tau <= 0.0:
+        raise ValidationError(
+            f"theta {theta!r} yields non-positive interval length {tau!r}; use an angle with a positive reduced value"
+        )
+    return tau
+
+
+def simulate_compiled(run: CompiledRun, state, graph: Graph, convention: str = CONVENTION_PHYSICAL) -> np.ndarray:
     """Evolve a state by executing the schedule's intervals, in order.
 
     Each interval decodes to the tessellation that drives its on-pairs
@@ -240,13 +245,13 @@ def parse_schedule(text: str) -> PulseSchedule:
     if obj["version"] != SCHEDULE_SCHEMA_VERSION:
         raise ValidationError(f"unsupported schedule schema version {obj['version']!r}")
     tau = obj["tau_s"]
-    if not isinstance(tau, (int, float)) or isinstance(tau, bool) or not tau > 0:
+    if not _is_number(tau) or not tau > 0:
         raise ValidationError(f"tau_s must be a positive number, got {tau!r}")
     for key in ("flux_on", "flux_off"):
-        if not isinstance(obj[key], (int, float)) or isinstance(obj[key], bool):
+        if not _is_number(obj[key]):
             raise ValidationError(f"{key} must be a number, got {obj[key]!r}")
     steps = obj["steps"]
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 0:
+    if not _is_index(steps) or steps < 0:
         raise ValidationError(f"steps must be a non-negative integer, got {steps!r}")
     if not isinstance(obj["intervals"], list):
         raise ValidationError("intervals must be a list")
@@ -254,7 +259,7 @@ def parse_schedule(text: str) -> PulseSchedule:
     for raw in obj["intervals"]:
         if not isinstance(raw, dict) or "idx" not in raw or "on" not in raw:
             raise ValidationError(f"interval entry {raw!r} needs 'idx' and 'on'")
-        if not isinstance(raw["idx"], int) or isinstance(raw["idx"], bool):
+        if not _is_index(raw["idx"]):
             raise ValidationError(f"interval idx must be an integer, got {raw['idx']!r}")
         on = raw["on"]
         if not isinstance(on, list):
@@ -284,11 +289,7 @@ def _raise_first_bad_pair(idx, on: list) -> None:
     """Name the first pair that fails :func:`_is_matching`."""
     driven: set[int] = set()
     for pair in on:
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
-        ):
+        if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_index, pair)):
             raise ValidationError(f"interval {idx}: pair {pair!r} must be a list of two node indices")
         i, j = pair
         if i == j:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _is_index
 from .graph import Graph, Tessellation, TessellationSet, validate_tessellation
 
 __all__ = [
@@ -55,7 +55,7 @@ class WalkConfig:
     def __post_init__(self):
         if not math.isfinite(self.theta):
             raise ValidationError(f"theta must be finite, got {self.theta!r}")
-        if not isinstance(self.steps, int) or self.steps < 0:
+        if not _is_index(self.steps) or self.steps < 0:
             raise ValidationError(f"steps must be a non-negative integer, got {self.steps!r}")
         if self.convention not in (CONVENTION_ABSTRACT, CONVENTION_PHYSICAL):
             raise ValidationError(f"convention must be 'abstract' or 'physical', got {self.convention!r}")

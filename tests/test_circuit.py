@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -274,6 +275,15 @@ class TestOperatingPoint:
         )
         with pytest.raises(UnreachableFluxError):
             solve_operating_point(weak)
+
+    def test_weak_junction_reports_required_energy_scale(self):
+        weak = dataclasses.replace(DEFAULT_PARAMS, josephson_energy=1e-28)
+        pair = chi_from_params(weak, josephson_coefficient(1.0, weak))
+        chi_lm = abs(pair.chi_l)
+        kl_all_on = solve_mode(pair.chi_c, -chi_lm, -chi_lm, 1, weak).kl
+        with pytest.raises(UnreachableFluxError) as excinfo:
+            solve_operating_point(weak)
+        assert excinfo.value.required_energy_scale == pytest.approx(4 * pair.chi_c * kl_all_on**2 / chi_lm, rel=1e-12)
 
 
 class TestFluxSweep:

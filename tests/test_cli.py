@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 
 import sqwbench
 from sqwbench._format import fmt17
+from sqwbench.circuit import DEFAULT_PARAMS
 from sqwbench.cli import main, parse_theta
 from sqwbench.errors import NumericError
 from sqwbench.graph import (
@@ -303,6 +305,23 @@ class TestCircuitCommand:
         assert "theta must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("theta", ["0", "2pi", "-2pi"])
+    def test_unschedulable_theta_fails_as_in_schedule(self, tmp_path, capsys, theta):
+        assert main(["schedule", "--path", "5", "--theta", theta, "--out", str(tmp_path / "s")]) == 2
+        schedule_err = capsys.readouterr().err
+        assert "non-positive interval length" in schedule_err
+        out = tmp_path / "out"
+        assert main(["circuit", "--theta", theta, "--sweep", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == schedule_err
+        assert not out.exists()
+
+    def test_verdict_line_matches_schedule(self, tmp_path, capsys):
+        assert main(["circuit", "--theta", "pi/3", "--out", str(tmp_path / "c")]) == 0
+        circuit_lines = capsys.readouterr().out.splitlines()
+        assert main(["schedule", "--path", "5", "--theta", "pi/3", "--out", str(tmp_path / "s")]) == 0
+        verdict = [line for line in capsys.readouterr().out.splitlines() if line.startswith("feasibility: interval")]
+        assert len(verdict) == 1 and verdict[0] in circuit_lines
+
     def test_negative_sweep_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["circuit", "--sweep", "-1", "--out", str(out)]) == 1
@@ -336,6 +355,15 @@ class TestCircuitCommand:
         bad.write_text("[1e-10, 2.5e-7]")
         assert main(["circuit", "--params", str(bad), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: parameter file {bad} must hold a JSON object\n"
+
+    @pytest.mark.parametrize("field", ["josephson_energy", "flux_quantum"])
+    def test_bool_param_is_domain_error(self, tmp_path, capsys, field):
+        params_file = tmp_path / "params.json"
+        params_file.write_text(json.dumps({**dataclasses.asdict(DEFAULT_PARAMS), field: True}))
+        out = tmp_path / "out"
+        assert main(["circuit", "--params", str(params_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {field} must be a positive finite number, got True\n"
+        assert not out.exists()
 
     def test_unknown_param_key_is_domain_error(self, tmp_path):
         bad = tmp_path / "bad.json"

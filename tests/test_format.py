@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqwbench._format import distribution_csv, dumps_17g, fmt17
+from sqwbench._format import distribution_rows, dumps_17g, fmt17
 
 probabilities = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False, allow_subnormal=True)
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -18,6 +18,12 @@ def per_cell_csv(distributions):
         for node, p in enumerate(dist):
             lines.append(f"{step},{node},{fmt17(p)}")
     return "\n".join(lines) + "\n"
+
+
+def distribution_csv(distributions):
+    """The file as cli.cmd_walk composes it: each recorded step's rows, in order."""
+    rows = distribution_rows(len(distributions[0]))
+    return "".join(rows(step, dist) for step, dist in enumerate(distributions))
 
 
 class TestPercentTemplateMatchesFmt17:

@@ -135,7 +135,7 @@ class TestCompile:
         with pytest.raises(UnreachableFluxError):
             compile_schedule(g, ts, math.pi / 3, weak, 1)
 
-    @pytest.mark.parametrize("steps", [-1, 1.0, None])
+    @pytest.mark.parametrize("steps", [-1, 1.0, None, True])
     def test_bad_steps_rejected(self, steps):
         g, ts = generate_path_tessellations(5)
         with pytest.raises(ValidationError, match="steps must be a non-negative integer"):

@@ -371,6 +371,8 @@ class TestWalkConfig:
             WalkConfig(theta=float("nan"))
         with pytest.raises(ValidationError):
             WalkConfig(theta=1.0, steps=-1)
+        with pytest.raises(ValidationError, match="steps must be a non-negative integer, got True"):
+            WalkConfig(theta=1.0, steps=True)
         with pytest.raises(ValidationError):
             WalkConfig(theta=1.0, convention="sideways")
 
