@@ -52,21 +52,9 @@ class Graph:
             raise ValidationError(f"node_count must be a non-negative integer, got {node_count!r}")
         if node_count > _MAX_INDEX:
             raise ValidationError(f"node_count must be at most {_MAX_INDEX}, got {node_count}")
-        checked = []
-        for edge in edges:
-            try:
-                edge = tuple(edge)
-                i, j = edge
-            except (TypeError, ValueError):
-                raise ValidationError(f"edge {edge!r} is not a pair") from None
-            if not (_is_index(i) and _is_index(j)):
-                raise ValidationError(f"edge {edge!r} has non-integer endpoints")
-            if i == j:
-                raise ValidationError(f"self-loop on node {i} is not allowed")
-            if not (0 <= i < node_count and 0 <= j < node_count):
-                raise ValidationError(f"edge {edge!r} references a node outside [0, {node_count})")
-            checked.append(edge)
-        self._set(node_count, np.fromiter(chain.from_iterable(checked), dtype=np.intp, count=2 * len(checked)))
+        edges = edges if isinstance(edges, (list, tuple)) else list(edges)
+        pairs = _edge_list_array(node_count, edges)
+        self._set(node_count, _checked_edges(node_count, edges) if pairs is None else pairs)
 
     @classmethod
     def _from_array(cls, node_count: int, pairs) -> Graph:
@@ -131,6 +119,42 @@ class Graph:
         hit = (endpoints[query] == pairs).all(axis=1) & (keys[row] == key)
         found[hit] = row[hit]
         return found
+
+
+def _edge_list_array(node_count: int, edges) -> np.ndarray | None:
+    """Whole-list test: every entry is a list or tuple of two distinct ints in range; the pairs, or None."""
+    if not set(map(type, edges)) <= {list, tuple} or not set(map(len, edges)) <= {2}:
+        return None
+    flat = list(chain.from_iterable(edges))
+    # type() is int excludes bool, which JSON true/false decode to
+    if not set(map(type, flat)) <= {int}:
+        return None
+    try:
+        pairs = np.array(flat, dtype=np.intp).reshape(-1, 2)
+    except OverflowError:
+        return None
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= node_count or (pairs[:, 0] == pairs[:, 1]).any()):
+        return None
+    return pairs
+
+
+def _checked_edges(node_count: int, edges) -> np.ndarray:
+    """The edges checked one at a time; the first that fails :func:`_edge_list_array` is named."""
+    checked = []
+    for edge in edges:
+        try:
+            edge = tuple(edge)
+            i, j = edge
+        except (TypeError, ValueError):
+            raise ValidationError(f"edge {edge!r} is not a pair") from None
+        if not (_is_index(i) and _is_index(j)):
+            raise ValidationError(f"edge {edge!r} has non-integer endpoints")
+        if i == j:
+            raise ValidationError(f"self-loop on node {i} is not allowed")
+        if not (0 <= i < node_count and 0 <= j < node_count):
+            raise ValidationError(f"edge {edge!r} references a node outside [0, {node_count})")
+        checked.append(edge)
+    return np.fromiter(chain.from_iterable(checked), dtype=np.intp, count=2 * len(checked))
 
 
 class Tessellation:
@@ -226,13 +250,51 @@ def build_graph(node_count: int, edges) -> Graph:
 
 
 def is_triangle_free(g: Graph) -> bool:
-    """True iff no three nodes of ``g`` are mutually adjacent."""
-    # neighbour sets for edge endpoints only, so the cost does not grow with node_count
-    nbrs: dict[int, set[int]] = {}
-    for i, j in g.edges:
-        nbrs.setdefault(i, set()).add(j)
-        nbrs.setdefault(j, set()).add(i)
-    return all(not (nbrs[i] & nbrs[j]) for i, j in g.edges)
+    """True iff no three nodes of ``g`` are mutually adjacent.
+
+    Each edge points from the node earlier in the order (degree, lowest neighbour, node) to
+    the later one, so a triangle a < b < c holds the directed 2-path a -> b -> c and the edge
+    (a, c).  Every directed 2-path u -> v -> w is listed and (u, w) looked up.  A node of
+    degree d has at most min(d, 2m/d) <= sqrt(2m) out-neighbours, as each has degree d or more,
+    so there are at most m*sqrt(2m) paths (Chiba & Nishizeki 1985); they are listed in slices
+    of about m, so memory stays O(m).  The lowest-neighbour tie-break points every edge of a
+    complete bipartite graph from one side to the other, which leaves no 2-paths however ids
+    interleave.
+    """
+    endpoints, ranks = g._ranks
+    m, size = len(ranks), len(endpoints)
+    if not m:
+        return True
+    lo, hi = ranks[:, 0], ranks[:, 1]
+    # rank keys sort like the rows (see Graph._edge_index); both orientations, sorted, group each node's neighbours
+    keys = lo * size + hi
+    node, neighbour = np.divmod(np.sort(np.concatenate((keys, hi * size + lo))), size)
+    first = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
+    # every rank is an endpoint, so the runs are the nodes in order
+    degree, lowest = np.diff(np.r_[first, 2 * m]), neighbour[first]
+    # (degree, lowest neighbour, rank) of lo against hi; lo < hi settles a tie
+    forward = (degree[lo] < degree[hi]) | ((degree[lo] == degree[hi]) & (lowest[lo] <= lowest[hi]))
+    tail, head = np.where(forward, lo, hi), np.where(forward, hi, lo)
+    # out-neighbours of node v: out_heads[out_start[v] : out_start[v] + out_count[v]]
+    out_heads = np.sort(tail * size + head) % size
+    out_count = np.bincount(tail, minlength=size)
+    out_start = np.cumsum(out_count) - out_count
+    # edge e = u -> v begins the out_count[v] paths u -> v -> w, numbered from ends[e] - paths[e]
+    paths = out_count[head]
+    ends = np.cumsum(paths)
+    begin = 0
+    while begin < m:
+        base = int(ends[begin - 1]) if begin else 0
+        end = max(int(np.searchsorted(ends, base + m, side="right")), begin + 1)
+        edge = np.repeat(np.arange(begin, end), paths[begin:end])
+        offset = np.arange(edge.size) - np.repeat(ends[begin:end] - paths[begin:end] - base, paths[begin:end])
+        u, w = tail[edge], out_heads[out_start[head[edge]] + offset]
+        # sorted queries make searchsorted walk the keys once instead of jumping about
+        closing = np.sort(np.minimum(u, w) * size + np.maximum(u, w))
+        if (keys[np.minimum(np.searchsorted(keys, closing), m - 1)] == closing).any():
+            return False
+        begin = end
+    return True
 
 
 def validate_tessellation(g: Graph, t: Tessellation) -> list[str]:
@@ -288,6 +350,8 @@ def generate_path_tessellations(node_count: int) -> tuple[Graph, TessellationSet
     (2k+1, 2k+2); boundary nodes left over by either pairing become
     singletons.  This is the 1-D lattice.
     """
+    if not _is_index(node_count):
+        raise ValidationError(f"path node count must be an integer, got {node_count!r}")
     if node_count < 1:
         raise ValidationError("path needs at least one node")
     return generate_lattice_tessellations([node_count])
@@ -303,9 +367,11 @@ def generate_lattice_tessellations(dims) -> tuple[Graph, TessellationSet]:
     axis, every interior node is paired in all 2N tessellations, and the
     1-D case is the path construction.
     """
-    dims = [int(d) for d in dims]
+    dims = list(dims)
     if not dims:
         raise ValidationError("lattice needs at least one dimension")
+    if not all(map(_is_index, dims)):
+        raise ValidationError(f"lattice dimensions must be integers, got {dims}")
     if any(d < 1 for d in dims):
         raise ValidationError(f"lattice dimensions must be >= 1, got {dims}")
     nodes = np.arange(math.prod(dims), dtype=np.intp).reshape(dims)
@@ -346,16 +412,12 @@ def greedy_tessellate(g: Graph) -> TessellationSet:
     while uncovered.size:
         degree = np.bincount(uncovered.ravel())
         lo_degree, hi_degree = degree[uncovered[:, 0]], degree[uncovered[:, 1]]
-        order = np.lexsort(
-            (uncovered[:, 1], uncovered[:, 0], -np.minimum(lo_degree, hi_degree), -np.maximum(lo_degree, hi_degree))
+        # by higher then lower endpoint degree, both descending; the rows stay sorted, so a stable
+        # sort breaks ties by row
+        order = np.argsort(
+            -(np.maximum(lo_degree, hi_degree) * degree.size + np.minimum(lo_degree, hi_degree)), kind="stable"
         )
-        used: set[int] = set()
-        matched = np.zeros(len(uncovered), dtype=bool)
-        for k, (i, j) in zip(order.tolist(), uncovered[order].tolist()):
-            if i not in used and j not in used:
-                matched[k] = True
-                used.add(i)
-                used.add(j)
+        matched = _greedy_matching(uncovered, order)
         tessellations.append(Tessellation._from_pairs(endpoints[uncovered[matched]], g.node_count))
         uncovered = uncovered[~matched]
         if len(tessellations) > max_degree + 1:
@@ -372,6 +434,42 @@ def greedy_tessellate(g: Graph) -> TessellationSet:
             stacklevel=2,
         )
     return tuple(tessellations)
+
+
+def _greedy_matching(pairs: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Mask of the rows a scan of ``pairs`` in ``order`` keeps, keeping each row whose two nodes are still free.
+
+    A live row that comes first at both its nodes is kept by the scan, and the live rows that
+    share a node with it are not; each numpy pass settles all of those at once, and the rest
+    stay live (Blelloch, Fineman & Shun 2012).  Once a pass settles fewer than a quarter of the
+    live rows, as it does on a path, the scan itself finishes them in order.
+    """
+    matched = np.zeros(len(pairs), dtype=bool)
+    used = np.zeros(int(pairs.max()) + 1, dtype=bool)
+    live = order
+    while live.size:
+        ends = pairs[live]
+        # entry 2k + s is node ends[k, s]; sorted (node, entry) keys head each node's run with its first live row
+        bits = (2 * live.size).bit_length()
+        key = np.sort(ends.ravel() << bits | np.arange(2 * live.size))
+        node = key >> bits
+        first = np.zeros(2 * live.size, dtype=bool)
+        first[key[np.r_[True, node[1:] != node[:-1]]] & ((1 << bits) - 1)] = True
+        kept = first[0::2] & first[1::2]
+        lo, hi = ends[:, 0], ends[:, 1]
+        matched[live[kept]] = True
+        used[lo[kept]] = used[hi[kept]] = True
+        rest = live[~(used[lo] | used[hi])]
+        if 4 * (live.size - rest.size) < live.size:
+            taken: set[int] = set()
+            for k, (i, j) in zip(rest.tolist(), pairs[rest].tolist()):
+                if i not in taken and j not in taken:
+                    matched[k] = True
+                    taken.add(i)
+                    taken.add(j)
+            break
+        live = rest
+    return matched
 
 
 def graph_to_json(g: Graph, ts: TessellationSet | None = None) -> str:
@@ -399,9 +497,15 @@ def graph_from_json(text: str) -> tuple[Graph, TessellationSet | None]:
         raise ValidationError('graph JSON needs "nodes" and "edges" keys')
     if not _is_index(obj["nodes"]):
         raise ValidationError('"nodes" must be an integer')
-    if not isinstance(obj["edges"], list) or not all(isinstance(e, list) for e in obj["edges"]):
+    if not isinstance(obj["edges"], list):
         raise ValidationError('"edges" must be a list of [i, j] pairs')
-    g = build_graph(obj["nodes"], obj["edges"])
+    try:
+        g = build_graph(obj["nodes"], obj["edges"])
+    except ValidationError:
+        # an entry that is not a list takes precedence; every such JSON value fails build_graph
+        if not all(isinstance(e, list) for e in obj["edges"]):
+            raise ValidationError('"edges" must be a list of [i, j] pairs') from None
+        raise
     ts = None
     if "tessellations" in obj and obj["tessellations"] is not None:
         if not isinstance(obj["tessellations"], list):

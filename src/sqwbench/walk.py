@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _is_index
+from .errors import ValidationError, _is_index, _is_number
 from .graph import Graph, Tessellation, TessellationSet, validate_tessellation
 
 __all__ = [
@@ -53,6 +53,8 @@ class WalkConfig:
     convention: str = CONVENTION_PHYSICAL
 
     def __post_init__(self):
+        if not _is_number(self.theta):
+            raise ValidationError(f"theta must be a number, got {self.theta!r}")
         if not math.isfinite(self.theta):
             raise ValidationError(f"theta must be finite, got {self.theta!r}")
         if not _is_index(self.steps) or self.steps < 0:
@@ -82,6 +84,10 @@ def _require_partition(t: Tessellation, n: int) -> Tessellation:
 
 def initial_basis_state(n: int, node: int) -> np.ndarray:
     """Single photon localized in one resonator: amplitude 1 at ``node``."""
+    if not _is_index(n) or n < 0:
+        raise ValidationError(f"node count must be a non-negative integer, got {n!r}")
+    if not _is_index(node):
+        raise ValidationError(f"start node must be an integer, got {node!r}")
     if not 0 <= node < n:
         raise ValidationError(f"start node {node} outside [0, {n})")
     state = np.zeros(n, dtype=complex)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sqwbench
+from sqwbench import graph
 from sqwbench.errors import ValidationError
 from sqwbench.graph import (
     Tessellation,
@@ -98,6 +99,51 @@ class TestBuildGraph:
                 build_graph(4, edges)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [[0, 1], [1, 2], [5, 6]],
+            ((0, 1), (1, 2), (5, 6)),
+            [(4, 3), [3, 4], (4, 3), [0, 6], (6, 0)],
+            [[6, 5], [2, 1], [1, 0], [3, 2]],
+            [],
+        ],
+        ids=["lists", "tuples", "duplicates", "reversed", "empty"],
+    )
+    def test_whole_list_path_matches_edge_loop(self, edges):
+        assert graph._edge_list_array(7, edges) is not None
+        # entries that are neither lists nor tuples take the edge-by-edge loop
+        loop = build_graph(7, [iter(e) for e in edges])
+        assert np.array_equal(build_graph(7, edges).edge_array, loop.edge_array)
+        g, _ = graph_from_json(json.dumps({"nodes": 7, "edges": [list(e) for e in edges]}))
+        assert np.array_equal(g.edge_array, loop.edge_array)
+
+    @pytest.mark.parametrize("load", ["build_graph", "graph_from_json"])
+    @pytest.mark.parametrize(
+        "nodes,bad,message",
+        [
+            (4, [True, 1], "edge (True, 1) has non-integer endpoints"),
+            (4, [0, 1.0], "edge (0, 1.0) has non-integer endpoints"),
+            (4, [0, 2**70], "edge (0, 1180591620717411303424) references a node outside [0, 4)"),
+            (2**62, [2**63, 1], f"edge (9223372036854775808, 1) references a node outside [0, {2**62})"),
+            (4, [-1, 2], "edge (-1, 2) references a node outside [0, 4)"),
+            (4, [-(2**70), 1], "edge (-1180591620717411303424, 1) references a node outside [0, 4)"),
+            (4, [2, 2], "self-loop on node 2 is not allowed"),
+            (4, [3, 4], "edge (3, 4) references a node outside [0, 4)"),
+            (4, [1, 2, 3], "edge (1, 2, 3) is not a pair"),
+        ],
+        ids=["bool", "float", "2**70", "above-intp", "negative", "below-intp", "self-loop", "n", "three"],
+    )
+    def test_only_bad_edge_named(self, load, nodes, bad, message):
+        # valid edges around one bad edge: the whole-list test must fail on that edge alone
+        edges = [[0, 1], [1, 2], bad, [2, 3]]
+        with pytest.raises(ValidationError) as excinfo:
+            if load == "graph_from_json":
+                graph_from_json(json.dumps({"nodes": nodes, "edges": edges}))
+            else:
+                build_graph(nodes, edges)
+        assert str(excinfo.value) == message
+
     def test_value_semantics(self):
         g = build_graph(5, [(0, 1), (3, 4), (1, 2)])
         same = build_graph(5, [(2, 1), (4, 3), (1, 0), (0, 1), (3, 4)])
@@ -139,6 +185,54 @@ class TestTriangleFree:
     def test_four_cycle_is_triangle_free(self):
         g, _ = generate_lattice_tessellations([2, 2])
         assert is_triangle_free(g)
+
+    def test_matches_neighbour_sets(self):
+        rng = random.Random(1985)
+        verdicts = set()
+        for _ in range(400):
+            n = rng.randint(1, 30)
+            p = rng.random() * 0.4
+            g = build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+            verdict = is_triangle_free(g)
+            assert type(verdict) is bool
+            assert verdict == reference_triangle_free(g), g
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_dense_bipartite_with_a_triangle(self):
+        # shuffled ids and uneven degrees give these graphs many more 2-paths than edges, so the paths are
+        # listed in several slices; a chord inside one side closes triangles, and a triangle on three
+        # extra nodes, whose edges are the last rows, is only reached by a later slice
+        rng = random.Random(2012)
+        chord_verdicts = set()
+        for _ in range(30):
+            n = rng.randint(20, 60)
+            ids = list(range(n))
+            rng.shuffle(ids)
+            left = ids[: n // 2]
+            edges = [(i, j) for i in left for j in ids[n // 2 :] if rng.random() < rng.random()]
+            assert is_triangle_free(build_graph(n + 3, edges)) is True
+            assert is_triangle_free(build_graph(n + 3, edges + [(n, n + 1), (n + 1, n + 2), (n, n + 2)])) is False
+            chorded = build_graph(n, edges + [tuple(rng.sample(left, 2))])
+            chord_verdicts.add(is_triangle_free(chorded))
+            assert chord_verdicts >= {reference_triangle_free(chorded)}
+        assert chord_verdicts == {True, False}
+
+    @pytest.mark.parametrize("k", [1, 2, 30])
+    def test_complete_bipartite_interleaved(self, k):
+        edges = [(2 * i, 2 * j + 1) for i in range(k) for j in range(k)]
+        assert is_triangle_free(build_graph(2 * k, edges)) is True
+        if k > 1:
+            assert is_triangle_free(build_graph(2 * k, edges + [(0, 2)])) is False
+
+
+def reference_triangle_free(g):
+    """is_triangle_free as it was built on Python neighbour sets."""
+    nbrs = {}
+    for i, j in g.edges:
+        nbrs.setdefault(i, set()).add(j)
+        nbrs.setdefault(j, set()).add(i)
+    return all(not (nbrs[i] & nbrs[j]) for i, j in g.edges)
 
 
 class TestValidateTessellation:
@@ -298,6 +392,11 @@ class TestPathGenerator:
         with pytest.raises(ValidationError):
             generate_path_tessellations(0)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
+    def test_non_integer_rejected(self, n):
+        with pytest.raises(ValidationError, match="^path node count must be an integer, got "):
+            generate_path_tessellations(n)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=1, max_value=80))
     def test_always_valid_and_covering(self, n):
@@ -351,6 +450,11 @@ class TestLatticeGenerator:
     def test_zero_dim_rejected(self):
         with pytest.raises(ValidationError):
             generate_lattice_tessellations([3, 0])
+
+    @pytest.mark.parametrize("dims", [[2.7], [True, 3], [3, False], [3, "2"], [3, None], (2.0, 2)])
+    def test_non_integer_dim_rejected(self, dims):
+        with pytest.raises(ValidationError, match=r"^lattice dimensions must be integers, got \["):
+            generate_lattice_tessellations(dims)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=3))
@@ -513,6 +617,39 @@ class TestGreedyMatchesReference:
     def test_edgeless(self, n):
         g = build_graph(n, [])
         assert greedy_outcome(greedy_tessellate, g) == greedy_outcome(reference_greedy, g)
+
+    # numpy passes settle one pair at a time on paths and cycles, so these reach the in-order scan that
+    # finishes a round
+    @pytest.mark.parametrize("n", [2, 3, 17, 1000])
+    def test_long_paths(self, n):
+        g = path_graph(n)
+        assert greedy_outcome(greedy_tessellate, g) == greedy_outcome(reference_greedy, g)
+
+    @pytest.mark.parametrize("n", [4, 6, 64, 999, 1000])
+    def test_long_cycles(self, n):
+        g = build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+        assert greedy_outcome(greedy_tessellate, g) == greedy_outcome(reference_greedy, g)
+
+    @pytest.mark.parametrize("leaves", [1, 2, 50])
+    def test_stars(self, leaves):
+        g = build_graph(leaves + 1, [(leaves // 2, v) for v in range(leaves + 1) if v != leaves // 2])
+        assert greedy_outcome(greedy_tessellate, g) == greedy_outcome(reference_greedy, g)
+
+    @pytest.mark.parametrize("k", [2, 5, 12])
+    def test_complete_bipartite_interleaved(self, k):
+        g = build_graph(2 * k, [(2 * i, 2 * j + 1) for i in range(k) for j in range(k)])
+        assert greedy_outcome(greedy_tessellate, g) == greedy_outcome(reference_greedy, g)
+
+    def test_sparse_bipartite_hundreds_of_nodes(self):
+        rng = random.Random(2024)
+        for _ in range(12):
+            left, right = rng.randint(100, 250), rng.randint(100, 250)
+            degree = rng.randint(1, 5)
+            edges = {(i, left + rng.randrange(right)) for i in range(left) for _ in range(degree)}
+            ids = list(range(left + right))
+            rng.shuffle(ids)
+            g = build_graph(left + right, [(ids[i], ids[j]) for i, j in edges])
+            assert greedy_outcome(greedy_tessellate, g) == greedy_outcome(reference_greedy, g)
 
 
 class TestGraphJson:

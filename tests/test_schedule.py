@@ -141,6 +141,20 @@ class TestCompile:
         with pytest.raises(ValidationError, match="steps must be a non-negative integer"):
             compile_schedule(g, ts, math.pi / 3, DEFAULT_PARAMS, steps)
 
+    @pytest.mark.parametrize(
+        "theta,message",
+        [
+            (True, "theta must be a number"),
+            ("1.0", "theta must be a number"),
+            (None, "theta must be a number"),
+            (float("nan"), "theta must be finite"),
+        ],
+    )
+    def test_bad_theta_rejected(self, theta, message):
+        g, ts = generate_path_tessellations(5)
+        with pytest.raises(ValidationError, match=f"^{message}, got "):
+            compile_schedule(g, ts, theta, DEFAULT_PARAMS, 1)
+
     def test_zero_angle_rejected(self):
         g, ts = generate_path_tessellations(5)
         with pytest.raises(ValidationError):

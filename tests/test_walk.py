@@ -325,6 +325,23 @@ class TestStateHelpers:
         with pytest.raises(ValidationError):
             initial_basis_state(5, -1)
 
+    @pytest.mark.parametrize(
+        "n,node,message",
+        [
+            (3, True, "start node must be an integer, got True"),
+            (3, 1.5, "start node must be an integer, got 1.5"),
+            (3, 1.0, "start node must be an integer, got 1.0"),
+            (3, "1", "start node must be an integer, got '1'"),
+            (3.0, 1, "node count must be a non-negative integer, got 3.0"),
+            (True, 0, "node count must be a non-negative integer, got True"),
+            (-1, 0, "node count must be a non-negative integer, got -1"),
+        ],
+    )
+    def test_initial_basis_state_rejects_non_indices(self, n, node, message):
+        with pytest.raises(ValidationError) as excinfo:
+            initial_basis_state(n, node)
+        assert str(excinfo.value) == message
+
     def test_probability_distribution_delta(self):
         p = probability_distribution(initial_basis_state(133, 66))
         assert p[66] == 1.0 and p.sum() == 1.0
@@ -375,6 +392,20 @@ class TestWalkConfig:
             WalkConfig(theta=1.0, steps=True)
         with pytest.raises(ValidationError):
             WalkConfig(theta=1.0, convention="sideways")
+
+    @pytest.mark.parametrize("theta", [True, False, "1.0", None, 1j])
+    def test_theta_must_be_a_number(self, theta):
+        with pytest.raises(ValidationError, match="^theta must be a number, got "):
+            WalkConfig(theta=theta)
+
+    @pytest.mark.parametrize("theta", [float("inf"), -float("inf"), float("nan")])
+    def test_theta_must_be_finite(self, theta):
+        with pytest.raises(ValidationError, match="^theta must be finite, got "):
+            WalkConfig(theta=theta)
+
+    @pytest.mark.parametrize("theta", [1, 0.5, np.float64(0.5)])
+    def test_theta_numbers_accepted(self, theta):
+        assert WalkConfig(theta=theta).theta == theta
 
 
 # each fails to partition range(4) in one way
