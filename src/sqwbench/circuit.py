@@ -53,6 +53,11 @@ __all__ = [
 ]
 
 
+def _check_product(label: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValidationError(f"{label} must be a positive finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CircuitParams:
     """SI-unit hardware constants of the resonator/SQUID array.
@@ -84,6 +89,10 @@ class CircuitParams:
             value = getattr(self, name)
             if not (_is_number(value) and math.isfinite(value) and value > 0):
                 raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
+        # the formulas divide by these products, so one that overflows to inf or underflows to 0 is an input error
+        _check_product("flux_quantum**2", self.flux_quantum * self.flux_quantum)
+        _check_product("ind_per_length * cap_per_length", self.ind_per_length * self.cap_per_length)
+        _check_product("2 * half_length * cap_per_length", 2.0 * self.half_length * self.cap_per_length)
 
     def wave_speed(self) -> float:
         """Electromagnetic wave speed 1/sqrt(l*c) in the line (m/s)."""

@@ -1,5 +1,7 @@
 """Exception types and input type rules shared across the package."""
 
+from itertools import chain
+
 __all__ = ["ValidationError", "UnreachableFluxError", "NumericError"]
 
 
@@ -31,3 +33,12 @@ def _is_index(value) -> bool:
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _int_pairs(entries) -> list[int] | None:
+    """Whole-list test: every entry is a list or tuple of two ints; their endpoints, in order, or None."""
+    if not set(map(type, entries)) <= {list, tuple} or not set(map(len, entries)) <= {2}:
+        return None
+    flat = list(chain.from_iterable(entries))
+    # type() is int excludes bool, which JSON true/false decode to
+    return flat if set(map(type, flat)) <= {int} else None

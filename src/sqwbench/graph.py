@@ -17,7 +17,7 @@ from itertools import chain, count, islice
 
 import numpy as np
 
-from .errors import ValidationError, _is_index
+from .errors import ValidationError, _int_pairs, _is_index
 
 __all__ = [
     "Graph",
@@ -53,8 +53,18 @@ class Graph:
         if node_count > _MAX_INDEX:
             raise ValidationError(f"node_count must be at most {_MAX_INDEX}, got {node_count}")
         edges = edges if isinstance(edges, (list, tuple)) else list(edges)
-        pairs = _edge_list_array(node_count, edges)
-        self._set(node_count, _checked_edges(node_count, edges) if pairs is None else pairs)
+        # the endpoint list, rebound to its array so that the list is freed before the sort
+        pairs = _int_pairs(edges)
+        try:
+            pairs = None if pairs is None else np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        except OverflowError:
+            pairs = None
+        # all at once when every pair is in range and joins two nodes; else edge by edge, naming the first bad edge
+        if pairs is None or pairs.size and (
+            pairs.min() < 0 or pairs.max() >= node_count or (pairs[:, 0] == pairs[:, 1]).any()
+        ):
+            pairs = _checked_edges(node_count, edges)
+        self._set(node_count, pairs)
 
     @classmethod
     def _from_array(cls, node_count: int, pairs) -> Graph:
@@ -64,8 +74,7 @@ class Graph:
         return g
 
     def _set(self, node_count: int, pairs) -> None:
-        pairs = np.sort(np.asarray(pairs, dtype=np.intp).reshape(-1, 2), axis=1)
-        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        pairs = _canonical_pairs(pairs)
         if len(pairs):
             pairs = pairs[np.r_[True, (pairs[1:] != pairs[:-1]).any(axis=1)]]
         pairs.flags.writeable = False
@@ -77,7 +86,8 @@ class Graph:
         return tuple(map(tuple, self.edge_array.tolist()))
 
     def max_degree(self) -> int:
-        return int(np.bincount(self._ranks[1].ravel()).max()) if self.edge_array.size else 0
+        endpoints, keys = self._ranks
+        return int(np.bincount(np.concatenate(np.divmod(keys, endpoints.size))).max()) if keys.size else 0
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)
@@ -95,24 +105,23 @@ class Graph:
 
     @cached_property
     def _ranks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sorted distinct endpoints, and ``edge_array`` with each node replaced by its index among them.
+        """The sorted distinct endpoints, and each row's key ``low * e + high``, its nodes replaced by their ranks.
 
-        Ranks keep the order of nodes and rows and stay below 2m, so arrays indexed by them
-        are sized by the edges, not by ``node_count``.
+        A node's rank is its index among the e endpoints, so arrays indexed by ranks are sized by the edges, not
+        by ``node_count``.  Keys sort like the rows and stay below (2m)**2; ``np.divmod(keys, e)`` gives the ranks.
         """
         # sort and compare neighbours: faster than np.unique's hash path, and a lower peak than its return_inverse
         flat = np.sort(self.edge_array, axis=None)
         endpoints = np.r_[flat[:1], flat[1:][flat[1:] != flat[:-1]]]
-        return endpoints, np.searchsorted(endpoints, self.edge_array)
+        lo, hi = (np.searchsorted(endpoints, column) for column in self.edge_array.T)
+        return endpoints, lo * endpoints.size + hi
 
     def _edge_index(self, pairs: np.ndarray) -> np.ndarray:
         """Row of ``edge_array`` equal to each low-high row of ``pairs``, or -1 for a non-edge."""
         found = np.full(len(pairs), -1, dtype=np.intp)
         if not self.edge_array.size:
             return found
-        endpoints, ranks = self._ranks
-        # keys of rank pairs sort like the rows and stay below (2m)**2, however large the nodes are
-        keys = ranks[:, 0] * endpoints.size + ranks[:, 1]
+        endpoints, keys = self._ranks
         query = np.minimum(np.searchsorted(endpoints, pairs), endpoints.size - 1)
         key = query[:, 0] * endpoints.size + query[:, 1]
         row = np.minimum(np.searchsorted(keys, key), keys.size - 1)
@@ -121,25 +130,14 @@ class Graph:
         return found
 
 
-def _edge_list_array(node_count: int, edges) -> np.ndarray | None:
-    """Whole-list test: every entry is a list or tuple of two distinct ints in range; the pairs, or None."""
-    if not set(map(type, edges)) <= {list, tuple} or not set(map(len, edges)) <= {2}:
-        return None
-    flat = list(chain.from_iterable(edges))
-    # type() is int excludes bool, which JSON true/false decode to
-    if not set(map(type, flat)) <= {int}:
-        return None
-    try:
-        pairs = np.array(flat, dtype=np.intp).reshape(-1, 2)
-    except OverflowError:
-        return None
-    if pairs.size and (pairs.min() < 0 or pairs.max() >= node_count or (pairs[:, 0] == pairs[:, 1]).any()):
-        return None
-    return pairs
+def _canonical_pairs(pairs) -> np.ndarray:
+    """``pairs`` as a ``(p, 2)`` intp array, each row ordered low-high and the rows sorted."""
+    pairs = np.sort(np.asarray(pairs, dtype=np.intp).reshape(-1, 2), axis=1)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
 def _checked_edges(node_count: int, edges) -> np.ndarray:
-    """The edges checked one at a time; the first that fails :func:`_edge_list_array` is named."""
+    """The edges checked one at a time; the first that fails :class:`Graph`'s whole-list test is named."""
     checked = []
     for edge in edges:
         try:
@@ -187,11 +185,11 @@ class Tessellation:
                 pairs.append(nodes)
             else:
                 singletons.append(nodes[0])
-        self._set(np.array(pairs, dtype=np.intp).reshape(-1, 2), np.array(singletons, dtype=np.intp))
+        self._set(_canonical_pairs(pairs), np.sort(np.array(singletons, dtype=np.intp)))
 
     @classmethod
     def _from_pairs(cls, pairs, node_count: int) -> Tessellation:
-        """The given disjoint in-range pairs, with every other node of range(node_count) a singleton."""
+        """Disjoint in-range canonical rows, stored as given; every other node of range(node_count) is a singleton."""
         pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
         paired = np.zeros(node_count, dtype=bool)
         paired[pairs] = True
@@ -200,12 +198,8 @@ class Tessellation:
         return t
 
     def _set(self, pairs: np.ndarray, singletons: np.ndarray) -> None:
-        pairs = np.sort(pairs, axis=1)
-        self.pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-        self.singletons = np.sort(singletons)
-        self.pairs.flags.writeable = False
-        self.singletons.flags.writeable = False
-        self._partner = None
+        pairs.flags.writeable = singletons.flags.writeable = False
+        self.pairs, self.singletons, self._partner = pairs, singletons, None
 
     @property
     def elements(self) -> tuple[tuple[int, ...], ...]:
@@ -261,13 +255,12 @@ def is_triangle_free(g: Graph) -> bool:
     complete bipartite graph from one side to the other, which leaves no 2-paths however ids
     interleave.
     """
-    endpoints, ranks = g._ranks
-    m, size = len(ranks), len(endpoints)
+    endpoints, keys = g._ranks
+    m, size = len(keys), len(endpoints)
     if not m:
         return True
-    lo, hi = ranks[:, 0], ranks[:, 1]
-    # rank keys sort like the rows (see Graph._edge_index); both orientations, sorted, group each node's neighbours
-    keys = lo * size + hi
+    lo, hi = np.divmod(keys, size)
+    # the row keys (see Graph._ranks) in both orientations, sorted, group each node's neighbours
     node, neighbour = np.divmod(np.sort(np.concatenate((keys, hi * size + lo))), size)
     first = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
     # every rank is an endpoint, so the runs are the nodes in order
@@ -407,7 +400,8 @@ def greedy_tessellate(g: Graph) -> TessellationSet:
     if not is_triangle_free(g):
         raise ValidationError("graph contains a triangle; staggered tessellations need triangle-free input")
     max_degree = g.max_degree()
-    endpoints, uncovered = g._ranks
+    endpoints, keys = g._ranks
+    uncovered = np.stack(np.divmod(keys, endpoints.size), axis=1)
     tessellations = []
     while uncovered.size:
         degree = np.bincount(uncovered.ravel())

@@ -18,8 +18,8 @@ import numpy as np
 
 from ._format import fmt17
 from .circuit import CircuitParams, OperatingPoint, pulse_duration, solve_operating_point
-from .errors import ValidationError, _is_index, _is_number
-from .graph import Graph, Tessellation, TessellationSet, validate_tessellation_set
+from .errors import ValidationError, _int_pairs, _is_index, _is_number
+from .graph import Graph, Tessellation, TessellationSet, _canonical_pairs, validate_tessellation_set
 from .walk import CONVENTION_PHYSICAL, WalkConfig, evolve
 
 __all__ = [
@@ -148,7 +148,9 @@ def simulate_compiled(run: CompiledRun, state, graph: Graph, convention: str = C
     violations = validate_schedule(run.schedule, graph)
     if violations:
         raise ValidationError("cannot simulate an invalid schedule: " + "; ".join(violations))
-    decoded = tuple(Tessellation._from_pairs(iv.on_pairs, graph.node_count) for iv in run.schedule.intervals)
+    # a parsed schedule may hold its pairs in any order and orientation
+    on_pairs = (_canonical_pairs(iv.on_pairs) for iv in run.schedule.intervals)
+    decoded = tuple(Tessellation._from_pairs(pairs, graph.node_count) for pairs in on_pairs)
     return evolve(state, decoded, WalkConfig(theta=run.theta, steps=1, convention=convention), graph=graph)
 
 
@@ -264,7 +266,8 @@ def parse_schedule(text: str) -> PulseSchedule:
         on = raw["on"]
         if not isinstance(on, list):
             raise ValidationError(f"interval {raw['idx']}: on must be a list of pairs")
-        if not _is_matching(on):
+        flat = _int_pairs(on)
+        if flat is None or len(set(flat)) != len(flat):
             _raise_first_bad_pair(raw["idx"], on)
         intervals.append(PulseInterval(index=raw["idx"], on_pairs=on))
     return PulseSchedule(
@@ -276,17 +279,8 @@ def parse_schedule(text: str) -> PulseSchedule:
     )
 
 
-def _is_matching(on: list) -> bool:
-    """Whole-list test: every entry is a list of two ints, and no int occurs twice (so no pair repeats a node)."""
-    if not set(map(type, on)) <= {list} or not set(map(len, on)) <= {2}:
-        return False
-    flat = list(chain.from_iterable(on))
-    # type() is int excludes bool, which JSON true/false decode to
-    return set(map(type, flat)) <= {int} and len(set(flat)) == len(flat)
-
-
 def _raise_first_bad_pair(idx, on: list) -> None:
-    """Name the first pair that fails :func:`_is_matching`."""
+    """Name the first pair that is not two ints, repeats a node or drives one again; a repeated int means one does."""
     driven: set[int] = set()
     for pair in on:
         if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_index, pair)):

@@ -365,6 +365,26 @@ class TestCircuitCommand:
         assert capsys.readouterr().err == f"error: {field} must be a positive finite number, got True\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["circuit"], ["schedule", "--path", "5"]], ids=["circuit", "schedule"])
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("flux_quantum", 1e308, "flux_quantum**2 must be a positive finite number, got inf"),
+            ("flux_quantum", 1e-200, "flux_quantum**2 must be a positive finite number, got 0.0"),
+            ("ind_per_length", 1e-320, "ind_per_length * cap_per_length must be a positive finite number, got 0.0"),
+            ("half_length", 1e-320, "2 * half_length * cap_per_length must be a positive finite number, got 0.0"),
+        ],
+        ids=["flux-overflow", "flux-underflow", "lc-underflow", "lc-chi-underflow"],
+    )
+    def test_product_out_of_float_range_is_domain_error(self, tmp_path, capsys, command, field, value, message):
+        # finite positive fields whose product, a divisor in the circuit formulas, leaves the float range
+        params_file = tmp_path / "params.json"
+        params_file.write_text(json.dumps({**dataclasses.asdict(DEFAULT_PARAMS), field: value}))
+        out = tmp_path / "out"
+        assert main(command + ["--params", str(params_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_unknown_param_key_is_domain_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"resistance": 50}')

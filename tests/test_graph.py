@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sqwbench
-from sqwbench import graph
+from sqwbench import errors
 from sqwbench.errors import ValidationError
 from sqwbench.graph import (
     Tessellation,
@@ -111,7 +111,7 @@ class TestBuildGraph:
         ids=["lists", "tuples", "duplicates", "reversed", "empty"],
     )
     def test_whole_list_path_matches_edge_loop(self, edges):
-        assert graph._edge_list_array(7, edges) is not None
+        assert errors._int_pairs(edges) is not None
         # entries that are neither lists nor tuples take the edge-by-edge loop
         loop = build_graph(7, [iter(e) for e in edges])
         assert np.array_equal(build_graph(7, edges).edge_array, loop.edge_array)
@@ -738,6 +738,40 @@ def per_node_lattice(dims):
             matched = {v for pair in pairs for v in pair}
             tessellations.append(tuple(sorted(pairs + [(v,) for v in range(node_count) if v not in matched])))
     return tuple(sorted(edges)), tessellations
+
+
+class TestGeneratedTessellationsAreCanonical:
+    # the generators' rows are stored as built, unsorted, so they must already be in the canonical order that
+    # Tessellation() sorts into; equality compares the pairs arrays row by row
+
+    def test_lattices(self):
+        for rank in (1, 2, 3):
+            for dims in itertools.product(range(1, 7), repeat=rank):
+                _, ts = generate_lattice_tessellations(dims)
+                assert all(t == Tessellation(t.elements) for t in ts), dims
+
+    def test_greedy(self):
+        rng = random.Random(1107)
+        graphs = [random_bipartite(rng, rng.randint(1, 14), rng.randint(1, 14)) for _ in range(300)]
+        graphs += [build_graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in (5, 7, 9, 21, 999)]
+        for _ in range(4):
+            left, right = rng.randint(100, 250), rng.randint(100, 250)
+            ids = list(range(left + right))
+            rng.shuffle(ids)
+            edges = {(ids[i], ids[left + rng.randrange(right)]) for i in range(left) for _ in range(3)}
+            graphs.append(build_graph(left + right, edges))
+        rounds = 0
+        for g in graphs:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    ts = greedy_tessellate(g)
+            except ValidationError:
+                continue
+            assert all(t == Tessellation(t.elements) for t in ts), g
+            rounds += sum(len(t.pairs) > 1 for t in ts)
+        # enough rounds hold more than one row for their order to matter
+        assert rounds > 500
 
 
 class TestGeneratorsMatchPerNodeConstruction:

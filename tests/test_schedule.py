@@ -181,6 +181,20 @@ class TestSoundness:
         oracle = brute_force_evolve(psi, ts, math.pi / 3, steps)
         assert np.max(np.abs(compiled_out - oracle)) < 1e-9
 
+    def test_pairs_in_any_order_simulate_the_same(self):
+        # a hand-built or parsed schedule may list each interval's pairs high-low and in any order
+        g, ts = generate_lattice_tessellations([4, 5])
+        run = compile_quietly(g, ts, math.pi / 3, DEFAULT_PARAMS, 2)
+        intervals = tuple(
+            PulseInterval(iv.index, tuple((j, i) for i, j in reversed(iv.on_pairs))) for iv in run.schedule.intervals
+        )
+        reordered = dataclasses.replace(run.schedule, intervals=intervals)
+        assert [iv.on_pairs[0] for iv in intervals] == [iv.on_pairs[-1][::-1] for iv in run.schedule.intervals]
+        psi = initial_basis_state(g.node_count, 7)
+        expected = simulate_compiled(run, psi, g).tobytes()
+        for schedule in (reordered, parse_schedule(emit_schedule(reordered))):
+            assert simulate_compiled(dataclasses.replace(run, schedule=schedule), psi, g).tobytes() == expected
+
     @pytest.mark.parametrize("maker", [lambda: generate_path_tessellations(5),
                                        lambda: generate_lattice_tessellations([3, 3])])
     @pytest.mark.parametrize("mutation", ["all-off", "swapped"])
