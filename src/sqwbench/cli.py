@@ -248,14 +248,12 @@ def cmd_schedule(args) -> int:
         warnings.simplefilter("ignore", RuntimeWarning)
         run = compile_schedule(g, ts, args.theta, params, args.steps)
 
-    out = Path(args.out)
-    _guarded_write(out / "schedule.json", emit_schedule(run.schedule), args.force)
-
-    violations = validate_schedule(run.schedule, g)
+    violations = validate_schedule(run.schedule, g)  # before the write, so a failed run leaves no file
     if violations:
         for message in violations:
             print(f"validation: {message}", file=sys.stderr)
         raise ValidationError("compiled schedule failed validation")
+    _guarded_write(Path(args.out) / "schedule.json", emit_schedule(run.schedule), args.force)
     print(f"validation: ok ({len(run.schedule.intervals)} intervals, tau = {run.schedule.tau_seconds:.6g} s)")
     _print_feasibility(run.schedule)
     return 0

@@ -44,13 +44,21 @@ SWITCHING_BUDGET_SECONDS = 1e-7
 
 @dataclass(frozen=True)
 class PulseInterval:
-    """One interval: the SQUID edges driven at the on-flux."""
+    """One interval: the SQUID edges driven at the on-flux.
+
+    An ``on_pairs`` that is already a tuple of tuples is kept as the
+    object given, so intervals that drive the same pattern (one per step
+    of a compiled or parsed schedule) share one tuple; anything else is
+    normalized to one.
+    """
 
     index: int
     on_pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "on_pairs", tuple(map(tuple, self.on_pairs)))
+        on = self.on_pairs
+        if type(on) is not tuple or not set(map(type, on)) <= {tuple}:
+            object.__setattr__(self, "on_pairs", tuple(map(tuple, on)))
 
 
 @dataclass(frozen=True)
@@ -160,16 +168,24 @@ def validate_schedule(s: PulseSchedule, g: Graph) -> list[str]:
     Returns violations as a list of messages; empty means the schedule
     is sound for the graph.  Per interval they come pair by pair: "not
     an edge" first, then each node already driven by an earlier pair.
+    An ``on_pairs`` tuple found sound is checked once however many
+    intervals share it; one with a violation is walked, and reported,
+    for every interval that holds it.
     """
     violations = []
     if not s.tau_seconds > 0.0:
         violations.append(f"interval length {s.tau_seconds!r} is not positive")
     edge_set = g.edge_set()
+    sound = set()  # ids of on_pairs tuples already found sound; s keeps each one alive
     for interval in s.intervals:
+        if id(interval.on_pairs) in sound:
+            continue
         flat = list(chain.from_iterable(interval.on_pairs))
         # distinct nodes in canonical edges leave nothing for the pair-by-pair walk to report
         if len(set(flat)) != len(flat) or not edge_set.issuperset(interval.on_pairs):
             violations.extend(_walk_pairs(interval, edge_set))
+        else:
+            sound.add(id(interval.on_pairs))
     return violations
 
 
@@ -210,7 +226,9 @@ def emit_schedule(s: PulseSchedule) -> str:
 
     The text is what ``json.dumps(payload, indent=2)`` writes, with
     floats at 17 significant digits: two-space indent, one number per
-    line.  Each interval fills one ``%``-template in C.
+    line.  Each distinct ``on_pairs`` tuple fills its ``"on"`` block's
+    ``%``-template in C once; every interval that shares the tuple adds
+    only its ``"idx"`` header to that text.
     """
     header = _HEADER % (
         SCHEDULE_SCHEMA_VERSION,
@@ -221,10 +239,14 @@ def emit_schedule(s: PulseSchedule) -> str:
     )
     if not s.intervals:
         return header + "[]\n}\n"
+    blocks = {}  # id(on_pairs) -> its "on" block; s keeps each tuple alive, so no id is reused
     intervals = []
     for iv in s.intervals:
-        on = "[" + ",".join([_PAIR] * len(iv.on_pairs)) + "\n      ]" if iv.on_pairs else "[]"
-        intervals.append((_INTERVAL + on + "\n    }") % ((iv.index,) + tuple(chain.from_iterable(iv.on_pairs))))
+        pairs = iv.on_pairs
+        if id(pairs) not in blocks:
+            template = "[" + ",".join([_PAIR] * len(pairs)) + "\n      ]" if pairs else "[]"
+            blocks[id(pairs)] = template % tuple(chain.from_iterable(pairs))
+        intervals.append(_INTERVAL % (iv.index,) + blocks[id(pairs)] + "\n    }")
     return header + "[\n" + ",\n".join(intervals) + "\n  ]\n}\n"
 
 
@@ -234,6 +256,8 @@ def parse_schedule(text: str) -> PulseSchedule:
     Rejects malformed JSON (naming the byte offset), unknown schema
     versions, missing or mistyped fields, non-positive interval length,
     an ``on`` that is not a list, and intervals that drive a node twice.
+    Intervals whose ``on`` lists are equal share one ``on_pairs`` tuple,
+    so a schedule that repeats its tessellations holds each pattern once.
     """
     try:
         obj = json.loads(text)
@@ -258,6 +282,8 @@ def parse_schedule(text: str) -> PulseSchedule:
     if not isinstance(obj["intervals"], list):
         raise ValidationError("intervals must be a list")
     intervals = []
+    # endpoint list -> its pairs tuple; keyed only after _int_pairs, since true == 1 and 1.0 == 1
+    patterns: dict[tuple, tuple] = {}
     for raw in obj["intervals"]:
         if not isinstance(raw, dict) or "idx" not in raw or "on" not in raw:
             raise ValidationError(f"interval entry {raw!r} needs 'idx' and 'on'")
@@ -267,9 +293,15 @@ def parse_schedule(text: str) -> PulseSchedule:
         if not isinstance(on, list):
             raise ValidationError(f"interval {raw['idx']}: on must be a list of pairs")
         flat = _int_pairs(on)
-        if flat is None or len(set(flat)) != len(flat):
+        if flat is None:
             _raise_first_bad_pair(raw["idx"], on)
-        intervals.append(PulseInterval(index=raw["idx"], on_pairs=on))
+        key = tuple(flat)
+        pairs = patterns.get(key)
+        if pairs is None:
+            if len(set(flat)) != len(flat):
+                _raise_first_bad_pair(raw["idx"], on)
+            pairs = patterns[key] = tuple(zip(flat[0::2], flat[1::2]))
+        intervals.append(PulseInterval(index=raw["idx"], on_pairs=pairs))
     return PulseSchedule(
         tau_seconds=float(tau),
         flux_on_ratio=float(obj["flux_on"]),

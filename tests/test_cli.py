@@ -407,6 +407,7 @@ class TestScheduleCommand:
         assert main(["schedule", "--path", "5", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err == "validation: interval 0: stand-in violation\nerror: compiled schedule failed validation\n"
+        assert not (tmp_path / "schedule.json").exists()
 
     def test_zero_steps_schedule(self, tmp_path):
         assert main(["schedule", "--path", "5", "--steps", "0", "--out", str(tmp_path)]) == 0

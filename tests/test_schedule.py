@@ -71,11 +71,14 @@ def reference_validate(s, g):
     return violations
 
 
+def schedule_json_of(*ons: str) -> str:
+    """A one-step schedule file whose interval k drives ``ons[k]``."""
+    intervals = ", ".join(f'{{"idx": {k}, "on": {on}}}' for k, on in enumerate(ons))
+    return f'{{"version": 1, "tau_s": 1e-6, "flux_on": 1.0, "flux_off": 0.48, "steps": 1, "intervals": [{intervals}]}}'
+
+
 def schedule_json(on: str) -> str:
-    return (
-        '{"version": 1, "tau_s": 1e-6, "flux_on": 1.0, "flux_off": 0.48, "steps": 1,'
-        f' "intervals": [{{"idx": 0, "on": [[4, 5]]}}, {{"idx": 1, "on": {on}}}]}}'
-    )
+    return schedule_json_of("[[4, 5]]", on)
 
 
 class TestCompile:
@@ -435,3 +438,48 @@ class TestWireFormat:
         )
         with pytest.raises(ValidationError):
             parse_schedule(text)
+
+
+class TestSharedPatterns:
+    """Intervals that drive one pattern share one on_pairs tuple; every interval is still emitted and checked in full."""
+
+    def test_compiled_steps_share_each_tessellations_tuple(self):
+        g, ts = generate_lattice_tessellations([3, 3])
+        run = compile_quietly(g, ts, math.pi / 3, DEFAULT_PARAMS, 3)
+        for s in (run.schedule, parse_schedule(emit_schedule(run.schedule))):
+            intervals = s.intervals
+            assert len(intervals) == 3 * len(ts)
+            assert all(iv.on_pairs is intervals[iv.index % len(ts)].on_pairs for iv in intervals)
+            assert len({id(iv.on_pairs) for iv in intervals}) == len(ts)
+
+    def test_equal_parsed_lists_share_one_tuple(self):
+        s = parse_schedule(schedule_json_of("[[0, 1], [2, 3]]", "[[1, 2]]", "[[0, 1], [2, 3]]", "[[1, 0], [2, 3]]"))
+        first, other, repeat, reversed_pair = (iv.on_pairs for iv in s.intervals)
+        assert repeat is first and first == ((0, 1), (2, 3))
+        assert other is not first and reversed_pair is not first and reversed_pair == ((1, 0), (2, 3))
+        assert emit_schedule(s) == reference_emit(s)
+
+    @pytest.mark.parametrize("endpoint,shown", [("true", "True"), ("1.0", "1.0")])
+    def test_look_alike_repeat_still_rejected(self, endpoint, shown):
+        # true == 1 and 1.0 == 1, so a lookup made before the type test would take interval 0's pairs
+        text = schedule_json_of("[[0, 1], [2, 3]]", "[[1, 2]]", f"[[0, {endpoint}], [2, 3]]")
+        with pytest.raises(ValidationError) as info:
+            parse_schedule(text)
+        assert str(info.value) == f"interval 2: pair [0, {shown}] must be a list of two node indices"
+
+    def test_shared_bad_tuple_reported_for_each_interval(self):
+        g, _ = generate_path_tessellations(5)
+        bad, good = ((0, 1), (1, 2), (3, 5)), ((0, 1), (2, 3))
+        s = PulseSchedule(1e-9, 1.0, 0.48, 2, tuple(PulseInterval(k, (bad, good)[k % 2]) for k in range(4)))
+        assert s.intervals[0].on_pairs is s.intervals[2].on_pairs is bad
+        expected = reference_validate(s, g)
+        assert [m.split(":")[0] for m in expected] == ["interval 0"] * 2 + ["interval 2"] * 2
+        assert validate_schedule(s, g) == expected
+        assert emit_schedule(s) == reference_emit(s)
+
+    def test_interval_normalizes_anything_but_a_tuple_of_tuples(self):
+        pairs = ((0, 1), (2, 3))
+        assert PulseInterval(0, pairs).on_pairs is pairs
+        for given in ([(0, 1), (2, 3)], ([0, 1], [2, 3]), ((0, 1), [2, 3]), iter(pairs)):
+            on = PulseInterval(0, given).on_pairs
+            assert on == pairs and type(on) is tuple and all(type(p) is tuple for p in on)
