@@ -93,20 +93,18 @@ class CircuitParams:
         _check_product("flux_quantum**2", self.flux_quantum * self.flux_quantum)
         _check_product("ind_per_length * cap_per_length", self.ind_per_length * self.cap_per_length)
         _check_product("2 * half_length * cap_per_length", 2.0 * self.half_length * self.cap_per_length)
+        # the solver's ratios, named by their inputs: an overflow would surface as a solver argument's inf
+        chi = chi_from_params(self, josephson_coefficient(0.0, self))  # chi_l at integer flux is the largest
+        for label, value in (
+            ("chi_c = junction_capacitance / (2 * half_length * cap_per_length)", chi.chi_c),
+            ("max chi_l = 4 pi**2 * josephson_energy / flux_quantum**2 * 2 * half_length * ind_per_length", chi.chi_l),
+        ):
+            if not value < math.inf:
+                raise ValidationError(f"{label} must be finite, got {value!r}")
 
     def wave_speed(self) -> float:
         """Electromagnetic wave speed 1/sqrt(l*c) in the line (m/s)."""
         return 1.0 / math.sqrt(self.ind_per_length * self.cap_per_length)
-
-
-# 50-ohm line, 1-cm half-length, standard junction values
-DEFAULT_PARAMS = CircuitParams(
-    cap_per_length=1e-10,
-    ind_per_length=2.5e-7,
-    half_length=1e-2,
-    junction_capacitance=1e-15,
-    josephson_energy=6.6262e-24,
-)
 
 
 @dataclass(frozen=True)
@@ -165,6 +163,16 @@ def chi_from_params(params: CircuitParams, josephson_coeff: float) -> ChiPair:
 def max_chi_l(params: CircuitParams) -> float:
     """Largest reachable |chi_l| (at integer flux ratios)."""
     return abs(chi_from_params(params, josephson_coefficient(0.0, params)).chi_l)
+
+
+# 50-ohm line, 1-cm half-length, standard junction values
+DEFAULT_PARAMS = CircuitParams(
+    cap_per_length=1e-10,
+    ind_per_length=2.5e-7,
+    half_length=1e-2,
+    junction_capacitance=1e-15,
+    josephson_energy=6.6262e-24,
+)
 
 
 def _mode_equation(x: float, chi_c: float, chi_sum: float) -> float:

@@ -10,6 +10,7 @@ one interval per tessellation, back to back.
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from dataclasses import dataclass
 from itertools import chain
@@ -36,7 +37,7 @@ __all__ = [
     "parse_schedule",
 ]
 
-SCHEDULE_SCHEMA_VERSION = 1
+SCHEDULE_SCHEMA_VERSION = 2
 
 # switching-speed budget of the flux drive lines
 SWITCHING_BUDGET_SECONDS = 1e-7
@@ -117,19 +118,8 @@ def compile_schedule(
     operating = solve_operating_point(params)
     tau = _interval_length(theta, operating)
     on_pairs = [tuple(map(tuple, t.pairs.tolist())) for t in ts]
-    intervals = []
-    index = 0
-    for _ in range(steps):
-        for pairs in on_pairs:
-            intervals.append(PulseInterval(index=index, on_pairs=pairs))
-            index += 1
-    schedule = PulseSchedule(
-        tau_seconds=tau,
-        flux_on_ratio=operating.flux_on,
-        flux_off_ratio=operating.flux_off,
-        repetitions=steps,
-        intervals=tuple(intervals),
-    )
+    intervals = (PulseInterval(k, on_pairs[k % len(on_pairs)]) for k in range(steps * len(on_pairs)))
+    schedule = PulseSchedule(tau, operating.flux_on, operating.flux_off, repetitions=steps, intervals=intervals)
     for note in feasibility_notes(schedule):
         warnings.warn(note, RuntimeWarning, stacklevel=2)
     return CompiledRun(schedule=schedule, tessellations=ts, theta=theta)
@@ -156,9 +146,10 @@ def simulate_compiled(run: CompiledRun, state, graph: Graph, convention: str = C
     violations = validate_schedule(run.schedule, graph)
     if violations:
         raise ValidationError("cannot simulate an invalid schedule: " + "; ".join(violations))
-    # a parsed schedule may hold its pairs in any order and orientation
-    on_pairs = (_canonical_pairs(iv.on_pairs) for iv in run.schedule.intervals)
-    decoded = tuple(Tessellation._from_pairs(pairs, graph.node_count) for pairs in on_pairs)
+    # one tessellation per distinct on_pairs tuple, which may hold its pairs in any order and orientation
+    distinct = {id(iv.on_pairs): iv.on_pairs for iv in run.schedule.intervals}
+    by_id = {key: Tessellation._from_pairs(_canonical_pairs(on), graph.node_count) for key, on in distinct.items()}
+    decoded = tuple(by_id[id(iv.on_pairs)] for iv in run.schedule.intervals)
     return evolve(state, decoded, WalkConfig(theta=run.theta, steps=1, convention=convention), graph=graph)
 
 
@@ -215,49 +206,40 @@ def feasibility_notes(s: PulseSchedule) -> list[str]:
     return notes
 
 
-# json.dumps(payload, indent=2) layout, filled by %-templates: one header, one template per interval
-_HEADER = '{\n  "version": %d,\n  "tau_s": %s,\n  "flux_on": %s,\n  "flux_off": %s,\n  "steps": %d,\n  "intervals": '
-_INTERVAL = '    {\n      "idx": %d,\n      "on": '
-_PAIR = "\n        [\n          %d,\n          %d\n        ]"
+_LAYOUT = (
+    '{\n  "version": %d,\n  "tau_s": %s,\n  "flux_on": %s,\n  "flux_off": %s,\n  "steps": %d,\n'
+    '  "patterns": %s,\n  "intervals": %s\n}\n'
+)
+_dumps = json.JSONEncoder(default=int).encode  # default=int writes numpy integers in hand-built schedules
 
 
 def emit_schedule(s: PulseSchedule) -> str:
-    """Serialize a schedule to its versioned JSON wire format.
+    """Serialize a schedule to its versioned JSON wire format, version 2.
 
-    The text is what ``json.dumps(payload, indent=2)`` writes, with
-    floats at 17 significant digits: two-space indent, one number per
-    line.  Each distinct ``on_pairs`` tuple fills its ``"on"`` block's
-    ``%``-template in C once; every interval that shares the tuple adds
-    only its ``"idx"`` header to that text.
+    Keys one per line, as ``json.dumps(payload, indent=2)`` places them, floats at 17 significant digits.
+    Each distinct ``on_pairs`` value, keyed by value with a fast path by ``id``, is one line of the
+    ``"patterns"`` table in first-use order; ``"intervals"`` is one line of ``[idx, pattern]`` entries.
     """
-    header = _HEADER % (
-        SCHEDULE_SCHEMA_VERSION,
-        fmt17(s.tau_seconds),
-        fmt17(s.flux_on_ratio),
-        fmt17(s.flux_off_ratio),
-        s.repetitions,
-    )
-    if not s.intervals:
-        return header + "[]\n}\n"
-    blocks = {}  # id(on_pairs) -> its "on" block; s keeps each tuple alive, so no id is reused
-    intervals = []
+    numbers = {}  # id(on_pairs) -> pattern number; s keeps each tuple alive, so no id is reused
+    table = {}  # on_pairs -> pattern number, so equal tuples that are not shared still make one pattern
+    entries = []
     for iv in s.intervals:
-        pairs = iv.on_pairs
-        if id(pairs) not in blocks:
-            template = "[" + ",".join([_PAIR] * len(pairs)) + "\n      ]" if pairs else "[]"
-            blocks[id(pairs)] = template % tuple(chain.from_iterable(pairs))
-        intervals.append(_INTERVAL % (iv.index,) + blocks[id(pairs)] + "\n    }")
-    return header + "[\n" + ",\n".join(intervals) + "\n  ]\n}\n"
+        p = numbers.get(id(iv.on_pairs))
+        if p is None:
+            p = numbers[id(iv.on_pairs)] = table.setdefault(iv.on_pairs, len(table))
+        entries.append((iv.index, p))
+    patterns = "[\n" + ",\n".join("    " + _dumps(pairs) for pairs in table) + "\n  ]" if table else "[]"
+    floats = fmt17(s.tau_seconds), fmt17(s.flux_on_ratio), fmt17(s.flux_off_ratio)
+    return _LAYOUT % (SCHEDULE_SCHEMA_VERSION, *floats, s.repetitions, patterns, _dumps(entries))
 
 
 def parse_schedule(text: str) -> PulseSchedule:
-    """Parse and structurally validate the schedule JSON wire format.
+    """Parse and structurally validate the schedule JSON wire format, version 1 or 2.
 
-    Rejects malformed JSON (naming the byte offset), unknown schema
-    versions, missing or mistyped fields, non-positive interval length,
-    an ``on`` that is not a list, and intervals that drive a node twice.
-    Intervals whose ``on`` lists are equal share one ``on_pairs`` tuple,
-    so a schedule that repeats its tessellations holds each pattern once.
+    Rejects malformed JSON (naming the byte offset), unknown versions, missing or mistyped fields,
+    non-positive interval length, an ``on`` list or pattern that is not int pairs or drives a node
+    twice, and an interval naming no pattern.  Each distinct pattern is checked and built once, and
+    every interval that drives it shares its ``on_pairs`` tuple.
     """
     try:
         obj = json.loads(text)
@@ -265,62 +247,80 @@ def parse_schedule(text: str) -> PulseSchedule:
         raise ValidationError(f"malformed schedule JSON at byte offset {exc.pos}: {exc.msg}") from None
     if not isinstance(obj, dict):
         raise ValidationError("schedule JSON must be an object")
-    for key in ("version", "tau_s", "flux_on", "flux_off", "steps", "intervals"):
-        if key not in obj:
+    for key in ("version", "tau_s", "flux_on", "flux_off", "steps", "intervals", "patterns"):
+        if key not in obj and (key != "patterns" or obj["version"] == 2):  # only version 2 has patterns
             raise ValidationError(f'schedule JSON is missing key "{key}"')
-    if obj["version"] != SCHEDULE_SCHEMA_VERSION:
+    if obj["version"] not in (1, 2):
         raise ValidationError(f"unsupported schedule schema version {obj['version']!r}")
     tau = obj["tau_s"]
     if not _is_number(tau) or not tau > 0:
         raise ValidationError(f"tau_s must be a positive number, got {tau!r}")
-    for key in ("flux_on", "flux_off"):
+    for key in ("tau_s", "flux_on", "flux_off"):
         if not _is_number(obj[key]):
             raise ValidationError(f"{key} must be a number, got {obj[key]!r}")
+        if not abs(obj[key]) <= sys.float_info.max:  # Infinity, NaN or an integer beyond the float range
+            raise ValidationError(f"{key} must be finite, got {obj[key]!r}")
     steps = obj["steps"]
     if not _is_index(steps) or steps < 0:
         raise ValidationError(f"steps must be a non-negative integer, got {steps!r}")
     if not isinstance(obj["intervals"], list):
         raise ValidationError("intervals must be a list")
+    floats = [float(obj[key]) for key in ("tau_s", "flux_on", "flux_off")]
+    patterns: dict[tuple, tuple] = {}  # endpoint tuple -> its pairs tuple
+    if obj["version"] == 2:
+        return PulseSchedule(*floats, steps, _v2_intervals(obj["patterns"], obj["intervals"], patterns))
     intervals = []
-    # endpoint list -> its pairs tuple; keyed only after _int_pairs, since true == 1 and 1.0 == 1
-    patterns: dict[tuple, tuple] = {}
     for raw in obj["intervals"]:
         if not isinstance(raw, dict) or "idx" not in raw or "on" not in raw:
             raise ValidationError(f"interval entry {raw!r} needs 'idx' and 'on'")
         if not _is_index(raw["idx"]):
             raise ValidationError(f"interval idx must be an integer, got {raw['idx']!r}")
-        on = raw["on"]
-        if not isinstance(on, list):
+        if not isinstance(raw["on"], list):
             raise ValidationError(f"interval {raw['idx']}: on must be a list of pairs")
-        flat = _int_pairs(on)
-        if flat is None:
-            _raise_first_bad_pair(raw["idx"], on)
-        key = tuple(flat)
-        pairs = patterns.get(key)
-        if pairs is None:
-            if len(set(flat)) != len(flat):
-                _raise_first_bad_pair(raw["idx"], on)
-            pairs = patterns[key] = tuple(zip(flat[0::2], flat[1::2]))
-        intervals.append(PulseInterval(index=raw["idx"], on_pairs=pairs))
-    return PulseSchedule(
-        tau_seconds=float(tau),
-        flux_on_ratio=float(obj["flux_on"]),
-        flux_off_ratio=float(obj["flux_off"]),
-        repetitions=steps,
-        intervals=tuple(intervals),
-    )
+        intervals.append(PulseInterval(raw["idx"], _pattern(f"interval {raw['idx']}", raw["on"], patterns)))
+    return PulseSchedule(*floats, steps, intervals)
 
 
-def _raise_first_bad_pair(idx, on: list) -> None:
+def _v2_intervals(table, entries: list, patterns: dict) -> list[PulseInterval]:
+    """The ``[idx, pattern]`` entries, each naming a table pattern; every pattern is checked, once."""
+    if not isinstance(table, list):
+        raise ValidationError("patterns must be a list")
+    for p, on in enumerate(table):
+        if not isinstance(on, list):
+            raise ValidationError(f"pattern {p}: must be a list of pairs")
+        table[p] = _pattern(f"pattern {p}", on, patterns)
+    flat = _int_pairs(entries)
+    if flat is None:
+        bad = next(entry for entry in entries if _int_pairs([entry]) is None)
+        raise ValidationError(f"interval entry {bad!r} must be [idx, pattern], two integers")
+    for idx, p in zip(flat[0::2], flat[1::2]):
+        if not 0 <= p < len(table):
+            raise ValidationError(f"interval {idx}: pattern {p} outside [0, {len(table)})")
+    return [PulseInterval(idx, table[p]) for idx, p in zip(flat[0::2], flat[1::2])]
+
+
+def _pattern(where: str, on: list, patterns: dict) -> tuple:
+    """``on`` as int pairs, checked and built once per distinct list; keyed once typed, as true == 1 == 1.0."""
+    flat = _int_pairs(on)
+    key = None if flat is None else tuple(flat)
+    pairs = patterns.get(key)
+    if pairs is None:
+        if flat is None or len(set(flat)) != len(flat):
+            _raise_first_bad_pair(where, on)
+        pairs = patterns[key] = tuple(zip(flat[0::2], flat[1::2]))
+    return pairs
+
+
+def _raise_first_bad_pair(where: str, on: list) -> None:
     """Name the first pair that is not two ints, repeats a node or drives one again; a repeated int means one does."""
     driven: set[int] = set()
     for pair in on:
         if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_index, pair)):
-            raise ValidationError(f"interval {idx}: pair {pair!r} must be a list of two node indices")
+            raise ValidationError(f"{where}: pair {pair!r} must be a list of two node indices")
         i, j = pair
         if i == j:
-            raise ValidationError(f"interval {idx}: pair {pair!r} repeats a node")
+            raise ValidationError(f"{where}: pair {pair!r} repeats a node")
         for v in (i, j):
             if v in driven:
-                raise ValidationError(f"interval {idx}: node {v} is driven by more than one pair")
+                raise ValidationError(f"{where}: node {v} is driven by more than one pair")
             driven.add(v)

@@ -136,21 +136,24 @@ def evolve(
 ):
     """Apply one local unitary per tessellation, in order, ``cfg.steps`` times.
 
-    With a graph, every tessellation is validated against it first;
-    without one, only the partition structure is checked.  ``on_step(l, psi)``
-    is called with the state after l full steps, l = 0 (the input array
-    itself) to ``cfg.steps``; it must not modify ``psi``, and must copy it to
-    keep it.  When ``keep_history`` is set, returns ``(final_state, history)``
-    with ``history[l]`` such a copy; otherwise just the final state.
+    With a graph, each distinct tessellation object is validated against
+    it once, first; without one, only the partition structure is checked.
+    ``on_step(l, psi)`` is called with the state after l full steps, l = 0
+    (the input array itself) to ``cfg.steps``; it must not modify ``psi``,
+    and must copy it to keep it.  When ``keep_history`` is set, returns
+    ``(final_state, history)`` with ``history[l]`` such a copy; otherwise
+    just the final state.
     """
     psi = _as_state(state)
     n = psi.shape[0]
-    if graph is not None:
-        if graph.node_count != n:
-            raise ValidationError(f"graph has {graph.node_count} nodes but state has dimension {n}")
-        tessellations = [hamiltonian_from_tessellation(graph, t) for t in ts]
-    else:
-        tessellations = [_require_partition(t, n) for t in ts]
+    if graph is not None and graph.node_count != n:
+        raise ValidationError(f"graph has {graph.node_count} nodes but state has dimension {n}")
+    tessellations = list(ts)
+    for t in {id(t): t for t in tessellations}.values():  # each distinct object once, in first-use order
+        if graph is not None:
+            hamiltonian_from_tessellation(graph, t)
+        else:
+            _require_partition(t, n)
     history = []
     for step in range(cfg.steps + 1):
         if step:

@@ -373,8 +373,19 @@ class TestCircuitCommand:
             ("flux_quantum", 1e-200, "flux_quantum**2 must be a positive finite number, got 0.0"),
             ("ind_per_length", 1e-320, "ind_per_length * cap_per_length must be a positive finite number, got 0.0"),
             ("half_length", 1e-320, "2 * half_length * cap_per_length must be a positive finite number, got 0.0"),
+            (
+                "flux_quantum",
+                1e-160,
+                "max chi_l = 4 pi**2 * josephson_energy / flux_quantum**2 * 2 * half_length * ind_per_length"
+                " must be finite, got inf",
+            ),
+            (
+                "junction_capacitance",
+                1e300,
+                "chi_c = junction_capacitance / (2 * half_length * cap_per_length) must be finite, got inf",
+            ),
         ],
-        ids=["flux-overflow", "flux-underflow", "lc-underflow", "lc-chi-underflow"],
+        ids=["flux-overflow", "flux-underflow", "lc-underflow", "lc-chi-underflow", "chi-l-overflow", "chi-c-overflow"],
     )
     def test_product_out_of_float_range_is_domain_error(self, tmp_path, capsys, command, field, value, message):
         # finite positive fields whose product, a divisor in the circuit formulas, leaves the float range
@@ -434,11 +445,11 @@ class TestScheduleCommand:
     @pytest.mark.parametrize(
         "golden,args",
         [
-            ("schedule_path5.json", ["--path", "5", "--theta", "pi/3", "--steps", "1"]),
-            ("schedule_lattice33.json", ["--lattice", "3,3", "--theta", "7pi/24", "--steps", "2"]),
+            ("schedule_path5_v2.json", ["--path", "5", "--theta", "pi/3", "--steps", "1"]),
+            ("schedule_lattice33_v2.json", ["--lattice", "3,3", "--theta", "7pi/24", "--steps", "2"]),
             # no tessellations in the file, so greedy_tessellate makes them
             (
-                "schedule_graph_bipartite7.json",
+                "schedule_graph_bipartite7_v2.json",
                 ["--graph", str(DATA / "graph_bipartite7.json"), "--theta", "0.9", "--steps", "2"],
             ),
         ],

@@ -1,11 +1,17 @@
 import dataclasses
+import functools
 import json
 import math
+import operator
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sqwbench
 from sqwbench._format import fmt17
 from sqwbench.circuit import DEFAULT_PARAMS, CircuitParams
 from sqwbench.errors import UnreachableFluxError, ValidationError
@@ -28,6 +34,8 @@ from sqwbench.schedule import (
 )
 from sqwbench.walk import CONVENTION_ABSTRACT, WalkConfig, evolve, initial_basis_state
 
+DATA = Path(__file__).parent / "data"
+
 
 def compile_quietly(*args, **kwargs):
     with pytest.warns(RuntimeWarning):
@@ -35,10 +43,10 @@ def compile_quietly(*args, **kwargs):
 
 
 def reference_emit(s):
-    """schedule.json built as a payload dict and written by json.dumps, header floats put in at 17 digits."""
+    """Version 1 schedule.json, built as a payload dict and written by json.dumps, header floats at 17 digits."""
     floats = {"tau_s": s.tau_seconds, "flux_on": s.flux_on_ratio, "flux_off": s.flux_off_ratio}
     payload = {
-        "version": SCHEDULE_SCHEMA_VERSION,
+        "version": 1,
         **{key: f"<{key}>" for key in floats},
         "steps": int(s.repetitions),
         "intervals": [
@@ -49,6 +57,30 @@ def reference_emit(s):
     text = json.dumps(payload, indent=2)
     for key, x in floats.items():
         text = text.replace(f'"<{key}>"', fmt17(x))
+    return text + "\n"
+
+
+def reference_emit_v2(s):
+    """Version 2 schedule.json: the header as json.dumps(indent=2) lays it out, one json.dumps line per pattern."""
+    table = []  # distinct on_pairs values, in first-use order
+    for iv in s.intervals:
+        if [list(p) for p in iv.on_pairs] not in table:
+            table.append([list(p) for p in iv.on_pairs])
+    entries = [[int(iv.index), table.index([list(p) for p in iv.on_pairs])] for iv in s.intervals]
+    floats = {"tau_s": s.tau_seconds, "flux_on": s.flux_on_ratio, "flux_off": s.flux_off_ratio}
+    payload = {
+        "version": 2,
+        **{key: f"<{key}>" for key in floats},
+        "steps": int(s.repetitions),
+        "patterns": "<patterns>",
+        "intervals": "<intervals>",
+    }
+    text = json.dumps(payload, indent=2)
+    for key, x in floats.items():
+        text = text.replace(f'"<{key}>"', fmt17(x))
+    lines = [json.dumps([[int(i), int(j)] for i, j in pattern]) for pattern in table]
+    patterns = "[\n" + ",\n".join("    " + line for line in lines) + "\n  ]" if lines else "[]"
+    text = text.replace('"<patterns>"', patterns).replace('"<intervals>"', json.dumps(entries))
     return text + "\n"
 
 
@@ -216,6 +248,27 @@ class TestSoundness:
         direct = evolve(psi, ts, WalkConfig(math.pi / 3, 2, CONVENTION_ABSTRACT), graph=g)
         assert not np.array_equal(compiled_out, direct)
 
+    def test_each_distinct_pattern_decodes_once(self, monkeypatch):
+        g, ts = generate_lattice_tessellations([4, 4])
+        run = compile_quietly(g, ts, math.pi / 3, DEFAULT_PARAMS, 5)
+        psi = initial_basis_state(g.node_count, 5)
+        expected = simulate_compiled(run, psi, g).tobytes()
+        decoded, received = [], []
+        from_pairs = sqwbench.graph.Tessellation._from_pairs
+        monkeypatch.setattr(
+            sqwbench.graph.Tessellation, "_from_pairs", staticmethod(lambda *a: decoded.append(a) or from_pairs(*a))
+        )
+        monkeypatch.setattr(
+            sqwbench.schedule, "evolve", lambda state, t, *a, **k: received.append(t) or evolve(state, t, *a, **k)
+        )
+        for schedule in (run.schedule, parse_schedule(emit_schedule(run.schedule))):
+            decoded.clear()
+            out = simulate_compiled(dataclasses.replace(run, schedule=schedule), psi, g)
+            assert out.tobytes() == expected
+            assert len(decoded) == len(ts) == 4
+            assert len(received[-1]) == 20 and len({id(t) for t in received[-1]}) == 4
+            assert all(t is received[-1][k % 4] for k, t in enumerate(received[-1]))
+
     def test_invalid_schedule_is_not_simulated(self):
         g, ts = generate_path_tessellations(5)
         run = compile_quietly(g, ts, math.pi / 3, DEFAULT_PARAMS, 1)
@@ -289,7 +342,7 @@ class TestValidateMatchesPairByPair:
 
 
 class TestEmitterBytes:
-    """emit_schedule writes exactly what json.dumps lays out for the same payload."""
+    """emit_schedule writes exactly what json.dumps lays out for the same version 2 payload."""
 
     CASES = [(generate_path_tessellations, n) for n in range(1, 7)] + [
         (generate_lattice_tessellations, dims) for dims in [(1,), (2, 2), (4, 3), (3, 3, 2)]
@@ -302,11 +355,26 @@ class TestEmitterBytes:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             run = compile_schedule(g, ts, math.pi / 3, DEFAULT_PARAMS, steps)
-        assert emit_schedule(run.schedule) == reference_emit(run.schedule)
+        text = emit_schedule(run.schedule)
+        assert text == reference_emit_v2(run.schedule)
+        # version 1 of the same schedule still loads, to the same schedule
+        assert parse_schedule(reference_emit(run.schedule)) == run.schedule == parse_schedule(text)
 
     def test_all_off(self):
         s = PulseSchedule(1e-9, 1.0, 0.48, 2, tuple(PulseInterval(k, ()) for k in range(4)))
-        assert emit_schedule(s) == reference_emit(s)
+        assert emit_schedule(s) == reference_emit_v2(s)
+        assert '"patterns": [\n    []\n  ],' in emit_schedule(s)
+
+    def test_equal_tuples_emit_equal_bytes_shared_or_not(self):
+        g, ts = generate_lattice_tessellations([3, 4])
+        run = compile_quietly(g, ts, math.pi / 3, DEFAULT_PARAMS, 3)
+        # a fresh tuple per interval, equal to the compiled one it copies
+        unshared = tuple(PulseInterval(iv.index, tuple(list(iv.on_pairs))) for iv in run.schedule.intervals)
+        assert unshared[0].on_pairs is not unshared[len(ts)].on_pairs
+        copy = dataclasses.replace(run.schedule, intervals=unshared)
+        assert copy == run.schedule
+        assert emit_schedule(copy) == emit_schedule(run.schedule) == reference_emit_v2(copy)
+        assert len(json.loads(emit_schedule(copy))["patterns"]) == len(ts)
 
     @pytest.mark.parametrize("flux_on", [1.0, 5e-324, 1e-300])
     def test_hand_built(self, flux_on):
@@ -317,7 +385,17 @@ class TestEmitterBytes:
             1,
             (PulseInterval(0, ((0, 1), (2, 3))), PulseInterval(1, ()), PulseInterval(7, ((1, 2),))),
         )
-        assert emit_schedule(s) == reference_emit(s)
+        assert emit_schedule(s) == reference_emit_v2(s)
+
+    def test_any_index_order_and_numpy_ints(self):
+        # hand-built: indices out of order and repeated, a pattern used again later, numpy integers
+        pairs = ((np.int64(0), np.int64(1)), (2, 3))
+        ons = [(np.int64(5), pairs), (2, ()), (2, ((1, 2),)), (0, pairs)]
+        s = PulseSchedule(1e-9, 1.0, 0.48, 2, tuple(PulseInterval(k, on) for k, on in ons))
+        text = emit_schedule(s)
+        assert text == reference_emit_v2(s)
+        assert '"intervals": [[5, 0], [2, 1], [2, 2], [0, 0]]\n}\n' in text
+        assert parse_schedule(text) == s
 
 
 class TestFeasibility:
@@ -356,7 +434,7 @@ class TestWireFormat:
             parse_schedule(text)
 
     def test_unknown_version_rejected(self):
-        text = '{"version": 2, "tau_s": 1e-6, "flux_on": 1.0, "flux_off": 0.48, "steps": 0, "intervals": []}'
+        text = '{"version": 3, "tau_s": 1e-6, "flux_on": 1.0, "flux_off": 0.48, "steps": 0, "intervals": []}'
         with pytest.raises(ValidationError, match="version"):
             parse_schedule(text)
 
@@ -440,6 +518,128 @@ class TestWireFormat:
             parse_schedule(text)
 
 
+HEADER_V2 = {**HEADER, "version": 2, "patterns": [[[0, 1]], [[1, 2]]], "intervals": [[0, 0], [1, 1]]}
+
+
+class TestWireFormatV2:
+    @pytest.mark.parametrize("name", ["path5", "lattice33", "graph_bipartite7"])
+    def test_version_1_fixture_loads_as_its_version_2_twin(self, name):
+        v1 = (DATA / f"schedule_{name}.json").read_text()
+        v2 = (DATA / f"schedule_{name}_v2.json").read_text()
+        assert json.loads(v1)["version"] == 1 and json.loads(v2)["version"] == 2
+        assert parse_schedule(v1) == parse_schedule(v2)
+        assert emit_schedule(parse_schedule(v1)) == v2 == emit_schedule(parse_schedule(v2))
+        assert reference_emit(parse_schedule(v1)) == v1
+
+    def test_each_pattern_written_once(self):
+        g, ts = generate_lattice_tessellations([100, 100])
+        run = compile_quietly(g, ts, 7 * math.pi / 24, DEFAULT_PARAMS, 5)
+        text = emit_schedule(run.schedule)
+        assert json.loads(text)["version"] == SCHEDULE_SCHEMA_VERSION == 2
+        assert len(text) < 0.06 * len(reference_emit(run.schedule))
+        assert text.count("\n") == 10 + 4
+        assert parse_schedule(text) == run.schedule
+
+    def test_equal_table_entries_share_one_tuple(self):
+        s = parse_schedule(json.dumps({**HEADER_V2, "patterns": [[[0, 1]], [[0, 1]]], "intervals": [[0, 1], [1, 0]]}))
+        assert s.intervals[0].on_pairs is s.intervals[1].on_pairs == ((0, 1),)
+
+    def test_missing_patterns_key_named(self):
+        fields = {key: value for key, value in HEADER_V2.items() if key != "patterns"}
+        with pytest.raises(ValidationError) as info:
+            parse_schedule(json.dumps(fields))
+        assert str(info.value) == 'schedule JSON is missing key "patterns"'
+        # version 1 has no table, and ignores one
+        assert parse_schedule(json.dumps({**HEADER_V2, "version": 1, "intervals": []})).intervals == ()
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"patterns": {"0": [[0, 1]]}}, "patterns must be a list"),
+            ({"patterns": [[[0, 1]], 5]}, "pattern 1: must be a list of pairs"),
+            ({"patterns": [None]}, "pattern 0: must be a list of pairs"),
+            ({"patterns": [[[0, 1]], [[2, 3, 4]]]}, "pattern 1: pair [2, 3, 4] must be a list of two node indices"),
+            ({"patterns": [[[0, True]]]}, "pattern 0: pair [0, True] must be a list of two node indices"),
+            ({"patterns": [[[0, 1]], [[1.0, 2]]]}, "pattern 1: pair [1.0, 2] must be a list of two node indices"),
+            ({"patterns": [[[0, 1]], [[3, 3]]]}, "pattern 1: pair [3, 3] repeats a node"),
+            ({"patterns": [[[0, 1], [2, 0]]]}, "pattern 0: node 0 is driven by more than one pair"),
+            ({"intervals": {"0": 0}}, "intervals must be a list"),
+            ({"intervals": [[0, 0], [1, 2]]}, "interval 1: pattern 2 outside [0, 2)"),
+            ({"intervals": [[0, -1]]}, "interval 0: pattern -1 outside [0, 2)"),
+            ({"patterns": [], "intervals": [[4, 0]]}, "interval 4: pattern 0 outside [0, 0)"),
+            ({"intervals": [[0, 0], [1, True]]}, "interval entry [1, True] must be [idx, pattern], two integers"),
+            ({"intervals": [[0.0, 0]]}, "interval entry [0.0, 0] must be [idx, pattern], two integers"),
+            ({"intervals": [[0, 0, 1]]}, "interval entry [0, 0, 1] must be [idx, pattern], two integers"),
+            (
+                {"intervals": [{"idx": 0, "on": []}]},
+                "interval entry {'idx': 0, 'on': []} must be [idx, pattern], two integers",
+            ),
+            ({"tau_s": 10**400}, f"tau_s must be finite, got {10**400}"),
+            ({"flux_on": -(10**400)}, f"flux_on must be finite, got {-(10**400)}"),
+            ({"flux_off": math.nan}, "flux_off must be finite, got nan"),
+            ({"tau_s": math.inf}, "tau_s must be finite, got inf"),
+        ],
+    )
+    def test_bad_field_named(self, fields, message):
+        with pytest.raises(ValidationError) as info:
+            parse_schedule(json.dumps({**HEADER_V2, **fields}))
+        assert str(info.value) == message
+
+    def test_version_1_floats_must_be_finite(self):
+        with pytest.raises(ValidationError) as info:
+            parse_schedule(json.dumps({**HEADER, "flux_on": -math.inf}))
+        assert str(info.value) == "flux_on must be finite, got -inf"
+
+
+def json_paths(node, path=()):
+    """Every path into a decoded JSON document, the root's () first."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from json_paths(child, path + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([2**70, 10**400]) | st.floats() | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+class TestMutatedWireFormat:
+    """Any edit of a version 2 file gives a schedule or a ValidationError, never another exception."""
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        TEXT = emit_schedule(
+            compile_schedule(*generate_lattice_tessellations([2, 3]), 0.9, DEFAULT_PARAMS, 2).schedule
+        )
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_loads_or_is_rejected(self, data):
+        text = self.TEXT
+        if data.draw(st.booleans(), label="edit a value"):
+            obj = json.loads(text)
+            path = data.draw(st.sampled_from(list(json_paths(obj))[1:]))
+            parent = functools.reduce(operator.getitem, path[:-1], obj)
+            if data.draw(st.booleans(), label="delete"):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(JSON_VALUES)
+            text = json.dumps(obj)
+        else:
+            start = data.draw(st.integers(0, len(text)))
+            end = data.draw(st.integers(start, min(len(text), start + 8)))
+            text = text[:start] + data.draw(st.text('[]{},:0123456789-". e', max_size=4)) + text[end:]
+        try:
+            s = parse_schedule(text)
+        except ValidationError:
+            return
+        # what loads re-emits as a version 2 file that loads back equal
+        assert parse_schedule(emit_schedule(s)) == s
+
+
 class TestSharedPatterns:
     """Intervals that drive one pattern share one on_pairs tuple; every interval is still emitted and checked in full."""
 
@@ -457,7 +657,7 @@ class TestSharedPatterns:
         first, other, repeat, reversed_pair = (iv.on_pairs for iv in s.intervals)
         assert repeat is first and first == ((0, 1), (2, 3))
         assert other is not first and reversed_pair is not first and reversed_pair == ((1, 0), (2, 3))
-        assert emit_schedule(s) == reference_emit(s)
+        assert emit_schedule(s) == reference_emit_v2(s)
 
     @pytest.mark.parametrize("endpoint,shown", [("true", "True"), ("1.0", "1.0")])
     def test_look_alike_repeat_still_rejected(self, endpoint, shown):
@@ -475,7 +675,7 @@ class TestSharedPatterns:
         expected = reference_validate(s, g)
         assert [m.split(":")[0] for m in expected] == ["interval 0"] * 2 + ["interval 2"] * 2
         assert validate_schedule(s, g) == expected
-        assert emit_schedule(s) == reference_emit(s)
+        assert emit_schedule(s) == reference_emit_v2(s)
 
     def test_interval_normalizes_anything_but_a_tuple_of_tuples(self):
         pairs = ((0, 1), (2, 3))

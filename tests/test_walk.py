@@ -306,6 +306,23 @@ class TestStepObserver:
         assert len(kernel_calls) == len(ts) * 5
         assert len(calls) == 6
 
+    def test_each_distinct_tessellation_validated_once(self, monkeypatch):
+        g, ts = generate_lattice_tessellations((3, 3))
+        checked = []
+        original = walk.hamiltonian_from_tessellation
+        monkeypatch.setattr(
+            walk, "hamiltonian_from_tessellation", lambda graph, t: checked.append(t) or original(graph, t)
+        )
+        psi = initial_basis_state(9, 4)
+        repeated = ts * 3
+        out = evolve(psi, repeated, WalkConfig(0.5, 2), graph=g)
+        assert [id(t) for t in checked] == [id(t) for t in ts]
+        assert np.array_equal(out, evolve(psi, ts, WalkConfig(0.5, 6), graph=g))
+        monkeypatch.undo()
+        bad = Tessellation(((0, 4), (1,), (2,), (3,), (5,), (6,), (7,), (8,)))
+        with pytest.raises(ValidationError, match="invalid tessellation"):
+            evolve(psi, (ts[0], bad, ts[0], bad), WalkConfig(0.5, 1), graph=g)
+
 
 class TestStateHelpers:
     def test_initial_basis_state_middle(self):
