@@ -323,19 +323,17 @@ def solve_flux_off(chi_c: float, kl: float, chi_l_max: float) -> float:
     return math.acos(target / chi_l_max) / math.pi
 
 
-def pulse_duration(theta: float, kappa_total: float, reduce_period: bool = False) -> float:
+def pulse_duration(theta: float, kappa_total: float) -> float:
     """Interval length tau realizing a rotation angle theta = kappa*tau.
 
-    With ``reduce_period`` the angle is first reduced modulo 2*pi, since
-    theta and theta + 2*pi generate the same local operator.
+    The angle is first reduced modulo 2*pi, since theta and theta + 2*pi
+    generate the same local operator.
     """
     if kappa_total == 0.0:
         raise ValidationError("coupling strength is zero; no pulse duration realizes the angle")
     if not math.isfinite(theta):
         raise ValidationError(f"theta must be finite, got {theta!r}")
-    if reduce_period:
-        theta = theta % (2.0 * math.pi)
-    return theta / kappa_total
+    return theta % (2.0 * math.pi) / kappa_total
 
 
 @dataclass(frozen=True)
@@ -360,8 +358,8 @@ class OperatingPoint:
     coupling_off: CouplingResult
 
 
-def solve_operating_point(params: CircuitParams, mode_index: int = 1, max_iterations: int = 80) -> OperatingPoint:
-    """Solve the on/off switch settings self-consistently.
+def solve_operating_point(params: CircuitParams) -> OperatingPoint:
+    """Solve the on/off switch settings of the fundamental mode self-consistently.
 
     The idle SQUID's chi_l must equal 4*chi_c*(kL)^2 at the very mode
     that chi_l itself shifts, so the mode and the off-ratio are iterated
@@ -371,11 +369,11 @@ def solve_operating_point(params: CircuitParams, mode_index: int = 1, max_iterat
     pair = chi_from_params(params, josephson_coefficient(1.0, params))
     chi_c = pair.chi_c
     chi_lm = abs(pair.chi_l)
-    mode_all_on = solve_mode(chi_c, -chi_lm, -chi_lm, mode_index, params)
+    mode_all_on = solve_mode(chi_c, -chi_lm, -chi_lm, 1, params)
     kl = mode_all_on.kl
-    for _ in range(max_iterations):
+    for _ in range(80):  # a safety bound; a few iterations converge
         solve_flux_off(chi_c, kl, chi_lm)  # raises UnreachableFluxError once the off point is out of reach
-        mode_operating = solve_mode(chi_c, -chi_lm, 4.0 * chi_c * kl * kl, mode_index, params)
+        mode_operating = solve_mode(chi_c, -chi_lm, 4.0 * chi_c * kl * kl, 1, params)
         converged = abs(mode_operating.kl - kl) < 1e-13
         kl = mode_operating.kl
         if converged:

@@ -8,7 +8,6 @@ byte-deterministic (floats at 17 significant digits).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -26,7 +25,7 @@ from .circuit import (
     solve_mode,
     solve_operating_point,
 )
-from .errors import NumericError, UnreachableFluxError, ValidationError
+from .errors import NumericError, UnreachableFluxError, ValidationError, _load_json
 from .graph import (
     generate_lattice_tessellations,
     generate_path_tessellations,
@@ -118,10 +117,7 @@ def _resolve_graph(args):
 def _load_params(path: str | None) -> CircuitParams:
     if path is None:
         return DEFAULT_PARAMS
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed parameter JSON in {path} at byte offset {exc.pos}: {exc.msg}") from None
+    obj = _load_json(Path(path).read_text(), f"parameter JSON in {path}")
     if not isinstance(obj, dict):
         raise ValidationError(f"parameter file {path} must hold a JSON object")
     try:

@@ -1,5 +1,6 @@
 """Exception types and input type rules shared across the package."""
 
+import json
 from itertools import chain
 
 __all__ = ["ValidationError", "UnreachableFluxError", "NumericError"]
@@ -42,3 +43,13 @@ def _int_pairs(entries) -> list[int] | None:
     flat = list(chain.from_iterable(entries))
     # type() is int excludes bool, which JSON true/false decode to
     return flat if set(map(type, flat)) <= {int} else None
+
+
+def _load_json(text: str, what: str):
+    """``json.loads(text)``; each way it can fail is a one-line ValidationError that names ``what``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"malformed {what} at byte offset {exc.pos}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # an integer past the int-string limit, or arrays nested too deep
+        raise ValidationError(f"{what} cannot be decoded: {exc}") from None

@@ -17,7 +17,7 @@ from itertools import chain, count, islice
 
 import numpy as np
 
-from .errors import ValidationError, _int_pairs, _is_index
+from .errors import ValidationError, _int_pairs, _is_index, _load_json
 
 __all__ = [
     "Graph",
@@ -481,10 +481,7 @@ def graph_from_json(text: str) -> tuple[Graph, TessellationSet | None]:
     ``"tessellations"`` list.  Any supplied tessellation must validate
     against the graph.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed graph JSON at byte offset {exc.pos}: {exc.msg}") from None
+    obj = _load_json(text, "graph JSON")
     if not isinstance(obj, dict):
         raise ValidationError("graph JSON must be an object")
     if "nodes" not in obj or "edges" not in obj:

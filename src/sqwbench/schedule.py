@@ -19,7 +19,7 @@ import numpy as np
 
 from ._format import fmt17
 from .circuit import CircuitParams, OperatingPoint, pulse_duration, solve_operating_point
-from .errors import ValidationError, _int_pairs, _is_index, _is_number
+from .errors import ValidationError, _int_pairs, _is_index, _is_number, _load_json
 from .graph import Graph, Tessellation, TessellationSet, _canonical_pairs, validate_tessellation_set
 from .walk import CONVENTION_PHYSICAL, WalkConfig, evolve
 
@@ -66,8 +66,8 @@ class PulseInterval:
 class PulseSchedule:
     """Per-SQUID flux timeline: interval length, flux levels, and drive pattern.
 
-    Structural soundness against a graph (matching property, edge
-    membership, positive interval length) is checked by
+    Structural soundness against a graph (finite header floats, matching
+    property, edge membership, positive interval length) is checked by
     :func:`validate_schedule`, which reports violations as data so that
     hand-built schedules can be inspected.
     """
@@ -127,7 +127,7 @@ def compile_schedule(
 
 def _interval_length(theta: float, operating: OperatingPoint) -> float:
     """The interval length realizing theta at the driven coupling, theta reduced modulo 2*pi; it must be positive."""
-    tau = pulse_duration(theta, operating.coupling_on.kappa_total, reduce_period=True)
+    tau = pulse_duration(theta, operating.coupling_on.kappa_total)
     if tau <= 0.0:
         raise ValidationError(
             f"theta {theta!r} yields non-positive interval length {tau!r}; use an angle with a positive reduced value"
@@ -154,7 +154,7 @@ def simulate_compiled(run: CompiledRun, state, graph: Graph, convention: str = C
 
 
 def validate_schedule(s: PulseSchedule, g: Graph) -> list[str]:
-    """Check matching property, edge membership, and positive interval length.
+    """Check finite header floats, matching property, edge membership, and positive interval length.
 
     Returns violations as a list of messages; empty means the schedule
     is sound for the graph.  Per interval they come pair by pair: "not
@@ -163,7 +163,7 @@ def validate_schedule(s: PulseSchedule, g: Graph) -> list[str]:
     intervals share it; one with a violation is walked, and reported,
     for every interval that holds it.
     """
-    violations = []
+    violations = list(filter(None, map(_infinite, _HEADER, (s.tau_seconds, s.flux_on_ratio, s.flux_off_ratio))))
     if not s.tau_seconds > 0.0:
         violations.append(f"interval length {s.tau_seconds!r} is not positive")
     edge_set = g.edge_set()
@@ -206,6 +206,14 @@ def feasibility_notes(s: PulseSchedule) -> list[str]:
     return notes
 
 
+_HEADER = ("tau_s", "flux_on", "flux_off")  # the wire names of the header floats, in PulseSchedule field order
+
+
+def _infinite(key: str, value) -> str | None:
+    """The message for a header float that is inf, nan or an integer beyond the float range, else None."""
+    return None if abs(value) <= sys.float_info.max else f"{key} must be finite, got {value!r}"
+
+
 _LAYOUT = (
     '{\n  "version": %d,\n  "tau_s": %s,\n  "flux_on": %s,\n  "flux_off": %s,\n  "steps": %d,\n'
     '  "patterns": %s,\n  "intervals": %s\n}\n'
@@ -220,6 +228,9 @@ def emit_schedule(s: PulseSchedule) -> str:
     Each distinct ``on_pairs`` value, keyed by value with a fast path by ``id``, is one line of the
     ``"patterns"`` table in first-use order; ``"intervals"`` is one line of ``[idx, pattern]`` entries.
     """
+    header = s.tau_seconds, s.flux_on_ratio, s.flux_off_ratio
+    if fault := next(filter(None, map(_infinite, _HEADER, header)), None):
+        raise ValidationError(fault)  # the file would hold inf or nan, which parse_schedule rejects
     numbers = {}  # id(on_pairs) -> pattern number; s keeps each tuple alive, so no id is reused
     table = {}  # on_pairs -> pattern number, so equal tuples that are not shared still make one pattern
     entries = []
@@ -229,7 +240,8 @@ def emit_schedule(s: PulseSchedule) -> str:
             p = numbers[id(iv.on_pairs)] = table.setdefault(iv.on_pairs, len(table))
         entries.append((iv.index, p))
     patterns = "[\n" + ",\n".join("    " + _dumps(pairs) for pairs in table) + "\n  ]" if table else "[]"
-    floats = fmt17(s.tau_seconds), fmt17(s.flux_on_ratio), fmt17(s.flux_off_ratio)
+    # "-0" would load as the integer 0, so -0.0 is written as a float
+    floats = ["-0.0" if repr(float(v)) == "-0.0" else fmt17(v) for v in header]
     return _LAYOUT % (SCHEDULE_SCHEMA_VERSION, *floats, s.repetitions, patterns, _dumps(entries))
 
 
@@ -241,10 +253,7 @@ def parse_schedule(text: str) -> PulseSchedule:
     twice, and an interval naming no pattern.  Each distinct pattern is checked and built once, and
     every interval that drives it shares its ``on_pairs`` tuple.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed schedule JSON at byte offset {exc.pos}: {exc.msg}") from None
+    obj = _load_json(text, "schedule JSON")
     if not isinstance(obj, dict):
         raise ValidationError("schedule JSON must be an object")
     for key in ("version", "tau_s", "flux_on", "flux_off", "steps", "intervals", "patterns"):
@@ -255,17 +264,17 @@ def parse_schedule(text: str) -> PulseSchedule:
     tau = obj["tau_s"]
     if not _is_number(tau) or not tau > 0:
         raise ValidationError(f"tau_s must be a positive number, got {tau!r}")
-    for key in ("tau_s", "flux_on", "flux_off"):
+    for key in _HEADER:
         if not _is_number(obj[key]):
             raise ValidationError(f"{key} must be a number, got {obj[key]!r}")
-        if not abs(obj[key]) <= sys.float_info.max:  # Infinity, NaN or an integer beyond the float range
-            raise ValidationError(f"{key} must be finite, got {obj[key]!r}")
+        if fault := _infinite(key, obj[key]):
+            raise ValidationError(fault)
     steps = obj["steps"]
     if not _is_index(steps) or steps < 0:
         raise ValidationError(f"steps must be a non-negative integer, got {steps!r}")
     if not isinstance(obj["intervals"], list):
         raise ValidationError("intervals must be a list")
-    floats = [float(obj[key]) for key in ("tau_s", "flux_on", "flux_off")]
+    floats = [float(obj[key]) for key in _HEADER]
     patterns: dict[tuple, tuple] = {}  # endpoint tuple -> its pairs tuple
     if obj["version"] == 2:
         return PulseSchedule(*floats, steps, _v2_intervals(obj["patterns"], obj["intervals"], patterns))

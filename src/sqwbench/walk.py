@@ -126,23 +126,14 @@ def local_unitary(state, t: Tessellation, cfg: WalkConfig) -> np.ndarray:
     return out
 
 
-def evolve(
-    state,
-    ts: TessellationSet,
-    cfg: WalkConfig,
-    graph: Graph | None = None,
-    keep_history: bool = False,
-    on_step=None,
-):
-    """Apply one local unitary per tessellation, in order, ``cfg.steps`` times.
+def evolve(state, ts: TessellationSet, cfg: WalkConfig, graph: Graph | None = None, on_step=None) -> np.ndarray:
+    """Apply one local unitary per tessellation, in order, ``cfg.steps`` times; return the final state.
 
     With a graph, each distinct tessellation object is validated against
     it once, first; without one, only the partition structure is checked.
     ``on_step(l, psi)`` is called with the state after l full steps, l = 0
     (the input array itself) to ``cfg.steps``; it must not modify ``psi``,
-    and must copy it to keep it.  When ``keep_history`` is set, returns
-    ``(final_state, history)`` with ``history[l]`` such a copy; otherwise
-    just the final state.
+    and must copy it to keep it.
     """
     psi = _as_state(state)
     n = psi.shape[0]
@@ -154,16 +145,13 @@ def evolve(
             hamiltonian_from_tessellation(graph, t)
         else:
             _require_partition(t, n)
-    history = []
     for step in range(cfg.steps + 1):
         if step:
             for t in tessellations:
                 psi = local_unitary(psi, t, cfg)
-        if keep_history:
-            history.append(psi.copy())
         if on_step is not None:
             on_step(step, psi)
-    return (psi, history) if keep_history else psi
+    return psi
 
 
 def probability_distribution(state) -> np.ndarray:

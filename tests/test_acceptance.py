@@ -54,9 +54,10 @@ def test_criterion_1_ballistic_line_walk():
     started = time.perf_counter()
     g, ts = generate_path_tessellations(133)
     psi = initial_basis_state(133, 66)
-    _, history = evolve(psi, ts, WalkConfig(math.pi / 3, 32), graph=g, keep_history=True)
+    distributions = []
+    evolve(psi, ts, WalkConfig(math.pi / 3, 32), graph=g,
+           on_step=lambda _, s: distributions.append(probability_distribution(s)))
     elapsed = time.perf_counter() - started
-    distributions = [probability_distribution(s) for s in history]
     final = distributions[-1]
     support = np.nonzero(final > 1e-14)[0]
     sigmas = spread_statistics(distributions, 66)

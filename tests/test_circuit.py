@@ -226,9 +226,18 @@ class TestPulseDuration:
 
     def test_period_reduction(self):
         kappa = 1e9
-        assert pulse_duration(2 * math.pi + math.pi / 3, kappa, reduce_period=True) == pytest.approx(
+        assert pulse_duration(2 * math.pi + math.pi / 3, kappa) == pytest.approx(
             pulse_duration(math.pi / 3, kappa), rel=1e-12
         )
+
+    def test_negative_angle_reduced_to_its_positive_equivalent(self):
+        kappa = 1e9
+        assert pulse_duration(-math.pi / 3, kappa) == pytest.approx(pulse_duration(5 * math.pi / 3, kappa), rel=1e-12)
+
+    def test_reduction_leaves_angles_in_one_period_exact(self):
+        kappa = 2 * math.pi * 10.63e6
+        for theta in (0.0, 5e-324, math.pi / 3, math.pi, math.nextafter(2 * math.pi, 0.0)):
+            assert pulse_duration(theta, kappa) == theta / kappa
 
     def test_zero_coupling_rejected(self):
         with pytest.raises(ValidationError):

@@ -14,7 +14,7 @@ import sqwbench
 from sqwbench._format import fmt17
 from sqwbench.circuit import DEFAULT_PARAMS
 from sqwbench.cli import main, parse_theta
-from sqwbench.errors import NumericError
+from sqwbench.errors import NumericError, ValidationError
 from sqwbench.graph import (
     build_graph,
     generate_lattice_tessellations,
@@ -208,7 +208,8 @@ class TestWalkCommand:
 def per_cell_csv(g, ts, theta, steps, convention):
     """distribution.csv built cell by cell: one fmt17 call per probability."""
     state = initial_basis_state(g.node_count, (g.node_count - 1) // 2)
-    _, history = evolve(state, ts, WalkConfig(theta, steps, convention), graph=g, keep_history=True)
+    history = []
+    evolve(state, ts, WalkConfig(theta, steps, convention), graph=g, on_step=lambda _, psi: history.append(psi.copy()))
     lines = ["step,node,probability"]
     for step, psi in enumerate(history):
         for node, p in enumerate(probability_distribution(psi)):
@@ -349,6 +350,8 @@ class TestCircuitCommand:
         bad = tmp_path / "bad.json"
         bad.write_text('{"josephson_energy": 1e-24')
         assert main(["circuit", "--params", str(bad), "--out", str(tmp_path)]) == 2
+        message = f"malformed parameter JSON in {bad} at byte offset 26: Expecting ',' delimiter"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_non_object_params_file_is_domain_error(self, tmp_path, capsys):
         bad = tmp_path / "list.json"
@@ -400,6 +403,35 @@ class TestCircuitCommand:
         bad = tmp_path / "bad.json"
         bad.write_text('{"resistance": 50}')
         assert main(["circuit", "--params", str(bad), "--out", str(tmp_path)]) == 2
+
+
+UNDECODABLE = {
+    "nested": "[" * 100_000,  # RecursionError inside json.loads
+    "long-integer": '{"nodes": 2, "edges": [[0, %s]]}' % ("1" * 5000),  # ValueError: past the int-string limit
+}
+
+
+class TestUndecodableJson:
+    """JSON that json.loads cannot decode, though it is not a JSONDecodeError, is a one-line domain error."""
+
+    @pytest.mark.parametrize("fault", UNDECODABLE)
+    @pytest.mark.parametrize(
+        "argv,what",
+        [(["walk", "--graph"], "graph JSON"), (["circuit", "--params"], "parameter JSON in {}")],
+        ids=["walk-graph", "circuit-params"],
+    )
+    def test_cli_exits_2_and_writes_nothing(self, tmp_path, capsys, argv, what, fault):
+        source = tmp_path / "input.json"
+        source.write_text(UNDECODABLE[fault])
+        assert main(argv + [str(source), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {what.format(source)} cannot be decoded: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fault", UNDECODABLE)
+    def test_parse_schedule_raises_validation_error(self, fault):
+        with pytest.raises(ValidationError, match="^schedule JSON cannot be decoded: "):
+            parse_schedule(UNDECODABLE[fault])
 
 
 class TestScheduleCommand:

@@ -300,6 +300,13 @@ class TestValidateSchedule:
         s = PulseSchedule(-1.0, 1.0, 0.48, 0, ())
         assert any("not positive" in v for v in validate_schedule(s, g))
 
+    def test_non_finite_header_floats(self):
+        g, _ = generate_path_tessellations(3)
+        s = PulseSchedule(math.inf, 1.0, math.nan, 0, ())
+        assert validate_schedule(s, g) == ["tau_s must be finite, got inf", "flux_off must be finite, got nan"]
+        s = PulseSchedule(1e-6, -math.inf, 0.48, 0, ())
+        assert validate_schedule(s, g) == ["flux_on must be finite, got -inf"]
+
 
 class TestValidateMatchesPairByPair:
     """The array check returns the pair-by-pair reference's messages, in its order."""
@@ -589,6 +596,35 @@ class TestWireFormatV2:
         with pytest.raises(ValidationError) as info:
             parse_schedule(json.dumps({**HEADER, "flux_on": -math.inf}))
         assert str(info.value) == "flux_on must be finite, got -inf"
+
+
+class TestHeaderFloats:
+    """emit_schedule writes only header floats that parse_schedule reads back, and reads them back unchanged."""
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("tau_s", math.inf), ("flux_on", -math.inf), ("flux_off", math.nan), ("flux_on", 10**400)],
+        ids=["tau_s-inf", "flux_on-minus-inf", "flux_off-nan", "flux_on-10**400"],
+    )
+    def test_non_finite_is_rejected_with_the_parse_message(self, key, value):
+        fields = {"tau_s": 1e-6, "flux_on": 1.0, "flux_off": 0.48, key: value}
+        s = PulseSchedule(fields["tau_s"], fields["flux_on"], fields["flux_off"], 1, (PulseInterval(0, ((0, 1),)),))
+        with pytest.raises(ValidationError) as parsed:
+            parse_schedule(json.dumps({**HEADER_V2, key: value}))
+        with pytest.raises(ValidationError) as emitted:
+            emit_schedule(s)
+        assert str(emitted.value) == str(parsed.value) == f"{key} must be finite, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "header", [(1e308, 1.0, 0.48), (5e-324, 1.0, 0.48), (1e-6, -0.0, 0.48), (1e-6, 1.0, -0.0), (1e-6, 0.0, 1e-300)]
+    )
+    def test_valid_header_round_trips_bit_for_bit(self, header):
+        g, _ = generate_path_tessellations(2)
+        s = PulseSchedule(*header, 1, (PulseInterval(0, ((0, 1),)),))
+        assert validate_schedule(s, g) == []
+        back = parse_schedule(emit_schedule(s))
+        assert back == s
+        assert [repr(v) for v in (back.tau_seconds, back.flux_on_ratio, back.flux_off_ratio)] == list(map(repr, header))
 
 
 def json_paths(node, path=()):

@@ -226,18 +226,19 @@ class TestEvolve:
     def test_history_recording(self):
         g, ts = generate_path_tessellations(9)
         psi = initial_basis_state(9, 4)
-        final, history = evolve(psi, ts, WalkConfig(0.5, 3), graph=g, keep_history=True)
+        history = []
+        final = evolve(psi, ts, WalkConfig(0.5, 3), graph=g, on_step=lambda _, s: history.append(s.copy()))
         assert len(history) == 4
         assert np.array_equal(history[0], psi)
         assert np.array_equal(history[-1], final)
 
-    def test_history_is_a_copy_of_the_input(self):
+    def test_step_zero_observes_the_input_left_unchanged(self):
         g, ts = generate_path_tessellations(9)
         psi = initial_basis_state(9, 4)
-        _, history = evolve(psi, ts, WalkConfig(0.5, 2), graph=g, keep_history=True)
-        psi[4] = 0.0
-        psi[0] = 1.0
-        assert history[0][4] == 1.0 and history[0][0] == 0.0
+        seen = []
+        evolve(psi, ts, WalkConfig(0.5, 2), graph=g, on_step=lambda _, s: seen.append(s))
+        assert seen[0] is psi
+        assert np.array_equal(psi, initial_basis_state(9, 4))
 
     def test_dimension_mismatch_rejected(self):
         g, ts = generate_path_tessellations(5)
@@ -269,11 +270,10 @@ class TestStepObserver:
         cfg = WalkConfig(0.7, 4, CONVENTION_ABSTRACT)
         graph = {"graph": g} if with_graph else {}
         final, calls = self.observed(psi, ts, cfg, **graph)
-        want_final, history = evolve(psi, ts, cfg, keep_history=True, **graph)
         assert [step for step, _ in calls] == list(range(cfg.steps + 1))
-        assert len(history) == len(calls)
-        assert all(np.array_equal(s, h) for (_, s), h in zip(calls, history))
-        assert np.array_equal(final, want_final) and np.array_equal(calls[-1][1], final)
+        for step, s in calls:  # each observed state is, bit for bit, a run of that many steps
+            assert np.array_equal(s, evolve(psi, ts, WalkConfig(cfg.theta, step, cfg.convention), **graph))
+        assert np.array_equal(calls[-1][1], final)
 
     def test_zero_steps_is_one_call(self):
         g, ts = generate_path_tessellations(5)
@@ -284,14 +284,10 @@ class TestStepObserver:
 
     def test_observer_beside_history(self):
         g, ts = generate_path_tessellations(7)
-        psi, calls = initial_basis_state(7, 3), []
-
-        def record(step, s):
-            calls.append(s.copy())
-
-        _, history = evolve(psi, ts, WalkConfig(0.5, 3), graph=g, keep_history=True, on_step=record)
-        assert len(calls) == len(history) == 4
-        assert all(np.array_equal(s, h) for s, h in zip(calls, history))
+        psi = initial_basis_state(7, 3)
+        final, calls = self.observed(psi, ts, WalkConfig(0.5, 3), graph=g)
+        assert len(calls) == 4
+        assert np.array_equal(final, evolve(psi, ts, WalkConfig(0.5, 3), graph=g))  # observing changes no bit
 
     def test_kernel_runs_once_per_tessellation_and_step(self, monkeypatch):
         g, ts = generate_lattice_tessellations((3, 3))
@@ -383,11 +379,14 @@ class TestSpreadStatistics:
     def test_ballistic_scaling_and_angle_ordering(self):
         g, ts = generate_path_tessellations(133)
         psi = initial_basis_state(133, 66)
-        _, hist3 = evolve(psi, ts, WalkConfig(math.pi / 3, 32), graph=g, keep_history=True)
-        sig3 = spread_statistics([probability_distribution(s) for s in hist3], 66)
+        dist3, dist4 = [], []
+        evolve(psi, ts, WalkConfig(math.pi / 3, 32), graph=g,
+               on_step=lambda _, s: dist3.append(probability_distribution(s)))
+        sig3 = spread_statistics(dist3, 66)
         assert 1.9 <= sig3[32] / sig3[16] <= 2.1
-        _, hist4 = evolve(psi, ts, WalkConfig(math.pi / 4, 32), graph=g, keep_history=True)
-        sig4 = spread_statistics([probability_distribution(s) for s in hist4], 66)
+        evolve(psi, ts, WalkConfig(math.pi / 4, 32), graph=g,
+               on_step=lambda _, s: dist4.append(probability_distribution(s)))
+        sig4 = spread_statistics(dist4, 66)
         assert sig4[32] < sig3[32]
 
     def test_empty_history_rejected(self):
