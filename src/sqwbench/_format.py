@@ -14,17 +14,45 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def distribution_rows(n: int):
-    """``rows(step, dist)``: one step's ``step,node,probability`` rows of an n-node distribution.csv.
+def _digits_before(k: int) -> int:
+    """Characters of ``str(0) ... str(k - 1)``: one per number, one more per number past each power of ten."""
+    total, power = k, 10
+    while power < k:
+        total += k - power
+        power *= 10
+    return total
 
-    Step 0's text starts with the header, so the file is the steps' texts in
-    order.  The ``%``-template of the n nodes is built once, here; each call
-    fills it in C, and ``"%.17g" % x`` renders the same digits as :func:`fmt17`.
+
+def distribution_rows(n: int):
+    """``rows(step, dist)``: one step's ``step,node,probability`` rows of an n-node distribution.csv, as three texts.
+
+    The texts are the zero rows before the step's live window, the window's
+    rows, and the zero rows after it; the window runs from the first to the
+    last value that is not +0.0 (``-0.0`` and NaN fall in it).  Step 0's first
+    text starts with the header, so the file is every step's texts in order.
+    The ``%``-template of the n nodes and its zero body, where every value
+    reads ``0``, are built once, here.  Each call fills only the window's rows
+    of the template, in C, and cuts the others from the zero body: node k's
+    row is ``digits(k) + 8`` characters in the template and ``digits(k) + 4``
+    in the zero body, so the cuts are computed, not searched.
+    ``"%.17g" % x`` renders the same digits as :func:`fmt17`.
     """
-    body = "".join(f"\t{node},%.17g\n" for node in range(n))
-    return lambda step, dist: ("" if step else "step,node,probability\n") + body.replace("\t", f"{step},") % tuple(
-        np.asarray(dist, dtype=float).tolist()
-    )
+    value = "".join(f"\t{node},%.17g\n" for node in range(n))
+    zero = value.replace(",%.17g\n", ",0\n")
+
+    def rows(step, dist):
+        p = np.asarray(dist, dtype=float)
+        live = (p != 0) | np.signbit(p)
+        lo, hi = (int(live.argmax()), n - int(live[::-1].argmax())) if live.any() else (n, n)
+        lo_digits, hi_digits = _digits_before(lo), _digits_before(hi)
+        prefix = f"{step},"
+        return (
+            ("" if step else "step,node,probability\n") + zero[: 4 * lo + lo_digits].replace("\t", prefix),
+            value[8 * lo + lo_digits : 8 * hi + hi_digits].replace("\t", prefix) % tuple(p[lo:hi].tolist()),
+            zero[4 * hi + hi_digits :].replace("\t", prefix),
+        )
+
+    return rows
 
 
 def dumps_17g(payload: dict) -> str:

@@ -107,17 +107,25 @@ def _resolve_graph(args):
     if args.lattice is not None:
         g, ts = generate_lattice_tessellations(args.lattice)
         return g, ts, "lattice:" + ",".join(str(d) for d in args.lattice)
-    text = Path(args.graph).read_text()
-    g, ts = graph_from_json(text)
+    g, ts = graph_from_json(_read_utf8(args.graph, "graph file"))
     if ts is not None:
         return g, ts, f"file:{args.graph}"
     return g, greedy_tessellate(g), f"file+greedy:{args.graph}"
 
 
+def _read_utf8(path: str, what: str) -> str:
+    """The text of the file at ``path``; bytes that are not UTF-8 are a one-line ValidationError naming ``what``."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{what} {path} is not UTF-8: {exc.reason} at byte offset {exc.start}") from None
+
+
 def _load_params(path: str | None) -> CircuitParams:
     if path is None:
         return DEFAULT_PARAMS
-    obj = _load_json(Path(path).read_text(), f"parameter JSON in {path}")
+    obj = _load_json(_read_utf8(path, "parameter file"), f"parameter JSON in {path}")
     if not isinstance(obj, dict):
         raise ValidationError(f"parameter file {path} must hold a JSON object")
     try:
@@ -132,12 +140,14 @@ def _ensure_writable(paths, force: bool) -> None:
             raise ValidationError(f"{path} already exists; pass --force to overwrite")
 
 
-def _guarded_write(path: Path, text: str, force: bool) -> None:
+def _guarded_write(path: Path, texts: list[str], force: bool) -> None:
+    """Write the concatenation of ``texts`` to ``path``, each text in ``_WRITE_SLICE`` slices, never joined."""
     _ensure_writable([path], force)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as f:
-        for start in range(0, len(text), _WRITE_SLICE):
-            f.write(text[start : start + _WRITE_SLICE])
+        for text in texts:
+            for start in range(0, len(text), _WRITE_SLICE):
+                f.write(text[start : start + _WRITE_SLICE])
     print(f"wrote {path}")
 
 
@@ -153,9 +163,8 @@ def cmd_walk(args) -> int:
     state = initial_basis_state(g.node_count, start)
     cfg = WalkConfig(theta=args.theta, steps=args.steps, convention=args.convention)
     rows, parts = distribution_rows(g.node_count), []  # each step's rows are formatted as evolve reaches it
-    final = evolve(state, ts, cfg, graph=g, on_step=lambda k, psi: parts.append(rows(k, probability_distribution(psi))))
-    text, parts = "".join(parts), None  # the parts go before the write, so the peak is the join: two CSV copies
-    _guarded_write(out / "distribution.csv", text, args.force)
+    final = evolve(state, ts, cfg, graph=g, on_step=lambda k, psi: parts.extend(rows(k, probability_distribution(psi))))
+    _guarded_write(out / "distribution.csv", parts, args.force)  # not joined, so the peak is one CSV copy
 
     metadata = {
         "n": g.node_count,
@@ -164,11 +173,11 @@ def cmd_walk(args) -> int:
         "convention": args.convention,
         "tessellation_source": source,
     }
-    _guarded_write(out / "run.json", dumps_17g(metadata) + "\n", args.force)
+    _guarded_write(out / "run.json", [dumps_17g(metadata) + "\n"], args.force)
 
     if args.svg:
         title = f"final distribution after {args.steps} steps (start {start})"
-        _guarded_write(out / "distribution.svg", distribution_svg(probability_distribution(final), title), args.force)
+        _guarded_write(out / "distribution.svg", [distribution_svg(probability_distribution(final), title)], args.force)
     return 0
 
 
@@ -201,7 +210,7 @@ def cmd_circuit(args) -> int:
         "flux_on": operating.flux_on,
         "flux_off": operating.flux_off,
     }
-    _guarded_write(out / "report.json", dumps_17g(report) + "\n", args.force)
+    _guarded_write(out / "report.json", [dumps_17g(report) + "\n"], args.force)
 
     if args.sweep > 0:
         rows = ["flux_ratio,chi_l,kL,omega_rad_s,A,kappa_cap,kappa_ind,kappa_total"]
@@ -227,7 +236,7 @@ def cmd_circuit(args) -> int:
                     )
                 )
             )
-        _guarded_write(out / "sweep.csv", "\n".join(rows) + "\n", args.force)
+        _guarded_write(out / "sweep.csv", ["\n".join(rows) + "\n"], args.force)
 
     print(
         f"feasibility: driven coupling {operating.coupling_on.kappa_total:.6g} rad/s; "
@@ -249,7 +258,7 @@ def cmd_schedule(args) -> int:
         for message in violations:
             print(f"validation: {message}", file=sys.stderr)
         raise ValidationError("compiled schedule failed validation")
-    _guarded_write(Path(args.out) / "schedule.json", emit_schedule(run.schedule), args.force)
+    _guarded_write(Path(args.out) / "schedule.json", [emit_schedule(run.schedule)], args.force)
     print(f"validation: ok ({len(run.schedule.intervals)} intervals, tau = {run.schedule.tau_seconds:.6g} s)")
     _print_feasibility(run.schedule)
     return 0

@@ -10,6 +10,8 @@ from sqwbench._format import distribution_rows, dumps_17g, fmt17
 
 probabilities = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False, allow_subnormal=True)
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# +0.0 first, so zero runs fall before, inside and after a step's live window; -0.0 and nan are formatted
+cells = st.one_of(st.just(0.0), probabilities, st.just(-0.0), st.just(math.nan))
 
 
 def per_cell_csv(distributions):
@@ -21,9 +23,9 @@ def per_cell_csv(distributions):
 
 
 def distribution_csv(distributions):
-    """The file as cli.cmd_walk composes it: each recorded step's rows, in order."""
+    """The file as cli.cmd_walk writes it: each recorded step's texts, in order."""
     rows = distribution_rows(len(distributions[0]))
-    return "".join(rows(step, dist) for step, dist in enumerate(distributions))
+    return "".join(text for step, dist in enumerate(distributions) for text in rows(step, dist))
 
 
 class TestPercentTemplateMatchesFmt17:
@@ -40,9 +42,9 @@ class TestPercentTemplateMatchesFmt17:
 
 @st.composite
 def distribution_lists(draw):
-    nodes = draw(st.integers(min_value=1, max_value=5))
+    nodes = draw(st.integers(min_value=1, max_value=40))
     steps = draw(st.integers(min_value=1, max_value=4))
-    row = st.lists(probabilities, min_size=nodes, max_size=nodes)
+    row = st.lists(cells, min_size=nodes, max_size=nodes)
     return [np.array(draw(row), dtype=float) for _ in range(steps)]
 
 
@@ -55,8 +57,36 @@ class TestDistributionCsv:
     @pytest.mark.parametrize("seed", range(5))
     def test_random_unit_distributions(self, seed):
         rng = np.random.default_rng(seed)
-        nodes = int(rng.integers(1, 6))
-        distributions = [rng.dirichlet(np.ones(nodes)) for _ in range(int(rng.integers(1, 5)))]
+        nodes = int(rng.integers(1, 41))
+        distributions = []
+        for _ in range(int(rng.integers(1, 5))):
+            # zeros inside a random window, and only zeros outside it; an empty window is an all-zero step
+            dist = rng.dirichlet(np.ones(nodes)) * (rng.random(nodes) < 0.7)
+            lo, hi = sorted(rng.integers(0, nodes + 1, size=2))
+            dist[:lo], dist[hi:] = 0.0, 0.0
+            distributions.append(dist)
+        assert distribution_csv(distributions) == per_cell_csv(distributions)
+
+    @pytest.mark.parametrize("nodes", [10, 11, 100, 101, 1001])
+    def test_window_edges_across_digit_widths(self, nodes):
+        # a window from and to each node where the digit count changes; the empty windows are
+        # all-zero steps, at step 0 and later
+        edges = sorted({e for e in (0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, nodes - 1, nodes) if e <= nodes})
+        windows = [(lo, hi) for lo in edges for hi in edges if lo <= hi]
+        rng = np.random.default_rng(nodes)
+        distributions = []
+        for lo, hi in windows:
+            dist = np.zeros(nodes)
+            dist[lo:hi] = rng.random(hi - lo)
+            distributions.append(dist)
+        assert windows[0] == (0, 0) and distribution_csv(distributions) == per_cell_csv(distributions)
+
+    @pytest.mark.parametrize("value", [-0.0, math.nan, 5e-324], ids=["minus-zero", "nan", "subnormal"])
+    def test_lone_value_in_zeros(self, value):
+        # the window is one node wide, at each end and in the middle
+        distributions = [np.zeros(40) for _ in range(3)]
+        for dist, node in zip(distributions, (0, 39, 20)):
+            dist[node] = value
         assert distribution_csv(distributions) == per_cell_csv(distributions)
 
     def test_single_node_single_step(self):
