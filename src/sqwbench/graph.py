@@ -89,9 +89,6 @@ class Graph:
         endpoints, keys = self._ranks
         return int(np.bincount(np.concatenate(np.divmod(keys, endpoints.size))).max()) if keys.size else 0
 
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented

@@ -13,14 +13,13 @@ import json
 import sys
 import warnings
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from ._format import fmt17
 from .circuit import CircuitParams, OperatingPoint, pulse_duration, solve_operating_point
 from .errors import ValidationError, _int_pairs, _is_index, _is_number, _load_json
-from .graph import Graph, Tessellation, TessellationSet, _canonical_pairs, validate_tessellation_set
+from .graph import _MAX_INDEX, Graph, Tessellation, TessellationSet, _canonical_pairs, validate_tessellation_set
 from .walk import CONVENTION_PHYSICAL, WalkConfig, evolve
 
 __all__ = [
@@ -45,21 +44,28 @@ SWITCHING_BUDGET_SECONDS = 1e-7
 
 @dataclass(frozen=True)
 class PulseInterval:
-    """One interval: the SQUID edges driven at the on-flux.
+    """One interval: the SQUID edges driven at the on-flux, a read-only ``(p, 2)`` intp array in the order given.
 
-    An ``on_pairs`` that is already a tuple of tuples is kept as the
-    object given, so intervals that drive the same pattern (one per step
-    of a compiled or parsed schedule) share one tuple; anything else is
-    normalized to one.
+    Such an array is kept as given, so the intervals that drive one pattern share it.  Other pairs of Python or numpy
+    ints are copied into one; a pair that is not two ints or holds a node outside the intp range is rejected.
     """
 
     index: int
-    on_pairs: tuple[tuple[int, int], ...]
+    on_pairs: np.ndarray
 
     def __post_init__(self):
         on = self.on_pairs
-        if type(on) is not tuple or not set(map(type, on)) <= {tuple}:
-            object.__setattr__(self, "on_pairs", tuple(map(tuple, on)))
+        if not (isinstance(on, np.ndarray) and on.dtype == np.intp and on.shape[1:] == (2,) and not on.flags.writeable):
+            on = on.tolist() if isinstance(on, np.ndarray) else on if isinstance(on, (list, tuple)) else list(on)
+            object.__setattr__(self, "on_pairs", _pair_array(f"interval {self.index}", on, _int_pairs(on)))
+
+    def __eq__(self, other):
+        if not isinstance(other, PulseInterval):
+            return NotImplemented
+        return self.index == other.index and np.array_equal(self.on_pairs, other.on_pairs)
+
+    def __hash__(self):
+        return hash((self.index, self.on_pairs.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -97,13 +103,7 @@ class CompiledRun:
     theta: float
 
 
-def compile_schedule(
-    g: Graph,
-    ts: TessellationSet,
-    theta: float,
-    params: CircuitParams,
-    steps: int,
-) -> CompiledRun:
+def compile_schedule(g: Graph, ts: TessellationSet, theta: float, params: CircuitParams, steps: int) -> CompiledRun:
     """Lower (graph, tessellations, theta, steps) to a flux pulse timeline.
 
     The interval length comes from the driven-link coupling at the
@@ -112,13 +112,11 @@ def compile_schedule(
     shorter than the switching budget of the drive lines.
     """
     WalkConfig(theta=theta, steps=steps)  # the walk's own rules for theta and the step count
-    violations = validate_tessellation_set(g, ts)
-    if violations:
+    if violations := validate_tessellation_set(g, ts):
         raise ValidationError("cannot compile invalid tessellations: " + "; ".join(violations))
     operating = solve_operating_point(params)
     tau = _interval_length(theta, operating)
-    on_pairs = [tuple(map(tuple, t.pairs.tolist())) for t in ts]
-    intervals = (PulseInterval(k, on_pairs[k % len(on_pairs)]) for k in range(steps * len(on_pairs)))
+    intervals = (PulseInterval(k, ts[k % len(ts)].pairs) for k in range(steps * len(ts)))
     schedule = PulseSchedule(tau, operating.flux_on, operating.flux_off, repetitions=steps, intervals=intervals)
     for note in feasibility_notes(schedule):
         warnings.warn(note, RuntimeWarning, stacklevel=2)
@@ -143,10 +141,9 @@ def simulate_compiled(run: CompiledRun, state, graph: Graph, convention: str = C
     tessellations go through :func:`sqwbench.walk.evolve` as one step.
     The compiler's own ``run.tessellations`` are not consulted.
     """
-    violations = validate_schedule(run.schedule, graph)
-    if violations:
+    if violations := validate_schedule(run.schedule, graph):
         raise ValidationError("cannot simulate an invalid schedule: " + "; ".join(violations))
-    # one tessellation per distinct on_pairs tuple, which may hold its pairs in any order and orientation
+    # one tessellation per distinct on_pairs array, which may hold its pairs in any order and orientation
     distinct = {id(iv.on_pairs): iv.on_pairs for iv in run.schedule.intervals}
     by_id = {key: Tessellation._from_pairs(_canonical_pairs(on), graph.node_count) for key, on in distinct.items()}
     decoded = tuple(by_id[id(iv.on_pairs)] for iv in run.schedule.intervals)
@@ -156,42 +153,28 @@ def simulate_compiled(run: CompiledRun, state, graph: Graph, convention: str = C
 def validate_schedule(s: PulseSchedule, g: Graph) -> list[str]:
     """Check finite header floats, matching property, edge membership, and positive interval length.
 
-    Returns violations as a list of messages; empty means the schedule
-    is sound for the graph.  Per interval they come pair by pair: "not
-    an edge" first, then each node already driven by an earlier pair.
-    An ``on_pairs`` tuple found sound is checked once however many
-    intervals share it; one with a violation is walked, and reported,
-    for every interval that holds it.
+    Returns violations as a list of messages; empty means the schedule is sound for the graph.  Per interval they
+    come pair by pair: "not an edge" first, then each node already driven by an earlier pair.  Each distinct
+    ``on_pairs`` array is checked once, as arrays; one with a fault is walked, and reported, for each interval.
     """
     violations = list(filter(None, map(_infinite, _HEADER, (s.tau_seconds, s.flux_on_ratio, s.flux_off_ratio))))
     if not s.tau_seconds > 0.0:
         violations.append(f"interval length {s.tau_seconds!r} is not positive")
-    edge_set = g.edge_set()
-    sound = set()  # ids of on_pairs tuples already found sound; s keeps each one alive
+    faults = {}  # id(on_pairs) -> which of its pairs are edges, or None if it is sound; s keeps each array alive
     for interval in s.intervals:
-        if id(interval.on_pairs) in sound:
-            continue
-        flat = list(chain.from_iterable(interval.on_pairs))
-        # distinct nodes in canonical edges leave nothing for the pair-by-pair walk to report
-        if len(set(flat)) != len(flat) or not edge_set.issuperset(interval.on_pairs):
-            violations.extend(_walk_pairs(interval, edge_set))
-        else:
-            sound.add(id(interval.on_pairs))
-    return violations
-
-
-def _walk_pairs(interval: PulseInterval, edge_set) -> list[str]:
-    """Per pair in order: "not an edge", then each node already driven by an earlier pair."""
-    violations = []
-    driven: set = set()
-    for pair in interval.on_pairs:
-        i, j = pair
-        if (min(i, j), max(i, j)) not in edge_set:
-            violations.append(f"interval {interval.index}: pair {pair} is not an edge of the graph")
-        for v in (i, j):
-            if v in driven:
-                violations.append(f"interval {interval.index}: node {v} is driven by more than one pair")
-            driven.add(v)
+        on = interval.on_pairs
+        if id(on) not in faults:
+            is_edge, nodes = g._edge_index(np.sort(on, axis=1)) >= 0, np.sort(on, axis=None)
+            faults[id(on)] = None if is_edge.all() and (nodes[1:] != nodes[:-1]).all() else is_edge.tolist()
+        if (is_edge := faults[id(on)]) is not None:  # walked pair by pair only to word the violations
+            driven: set[int] = set()
+            for (i, j), edge in zip(on.tolist(), is_edge):
+                if not edge:
+                    violations.append(f"interval {interval.index}: pair {(i, j)} is not an edge of the graph")
+                for v in (i, j):
+                    if v in driven:
+                        violations.append(f"interval {interval.index}: node {v} is driven by more than one pair")
+                    driven.add(v)
     return violations
 
 
@@ -218,28 +201,28 @@ _LAYOUT = (
     '{\n  "version": %d,\n  "tau_s": %s,\n  "flux_on": %s,\n  "flux_off": %s,\n  "steps": %d,\n'
     '  "patterns": %s,\n  "intervals": %s\n}\n'
 )
-_dumps = json.JSONEncoder(default=int).encode  # default=int writes numpy integers in hand-built schedules
+_dumps = json.JSONEncoder(default=int).encode  # default=int writes numpy integer indices of hand-built schedules
 
 
 def emit_schedule(s: PulseSchedule) -> str:
     """Serialize a schedule to its versioned JSON wire format, version 2.
 
     Keys one per line, as ``json.dumps(payload, indent=2)`` places them, floats at 17 significant digits.
-    Each distinct ``on_pairs`` value, keyed by value with a fast path by ``id``, is one line of the
+    Each distinct ``on_pairs`` array, keyed by ``id`` and then by its bytes, is one line of the
     ``"patterns"`` table in first-use order; ``"intervals"`` is one line of ``[idx, pattern]`` entries.
     """
     header = s.tau_seconds, s.flux_on_ratio, s.flux_off_ratio
     if fault := next(filter(None, map(_infinite, _HEADER, header)), None):
         raise ValidationError(fault)  # the file would hold inf or nan, which parse_schedule rejects
-    numbers = {}  # id(on_pairs) -> pattern number; s keeps each tuple alive, so no id is reused
-    table = {}  # on_pairs -> pattern number, so equal tuples that are not shared still make one pattern
+    numbers = {}  # id(on_pairs) -> pattern number; s keeps each array alive, so no id is reused
+    table = {}  # on_pairs bytes -> (pattern number, array), so equal arrays that are not shared make one pattern
     entries = []
     for iv in s.intervals:
         p = numbers.get(id(iv.on_pairs))
         if p is None:
-            p = numbers[id(iv.on_pairs)] = table.setdefault(iv.on_pairs, len(table))
+            p = numbers[id(iv.on_pairs)] = table.setdefault(iv.on_pairs.tobytes(), (len(table), iv.on_pairs))[0]
         entries.append((iv.index, p))
-    patterns = "[\n" + ",\n".join("    " + _dumps(pairs) for pairs in table) + "\n  ]" if table else "[]"
+    patterns = "[\n" + ",\n".join("    " + _dumps(on.tolist()) for _, on in table.values()) + "\n  ]" if table else "[]"
     # "-0" would load as the integer 0, so -0.0 is written as a float
     floats = ["-0.0" if repr(float(v)) == "-0.0" else fmt17(v) for v in header]
     return _LAYOUT % (SCHEDULE_SCHEMA_VERSION, *floats, s.repetitions, patterns, _dumps(entries))
@@ -248,10 +231,9 @@ def emit_schedule(s: PulseSchedule) -> str:
 def parse_schedule(text: str) -> PulseSchedule:
     """Parse and structurally validate the schedule JSON wire format, version 1 or 2.
 
-    Rejects malformed JSON (naming the byte offset), unknown versions, missing or mistyped fields,
-    non-positive interval length, an ``on`` list or pattern that is not int pairs or drives a node
-    twice, and an interval naming no pattern.  Each distinct pattern is checked and built once, and
-    every interval that drives it shares its ``on_pairs`` tuple.
+    Rejects malformed JSON (naming the byte offset), unknown versions, missing or mistyped fields, non-positive
+    interval length, an ``on`` list or pattern that is not int pairs, drives a node twice or holds a node outside
+    the intp range, and an interval naming no pattern.  Each distinct pattern is built once, as one shared array.
     """
     obj = _load_json(text, "schedule JSON")
     if not isinstance(obj, dict):
@@ -275,7 +257,7 @@ def parse_schedule(text: str) -> PulseSchedule:
     if not isinstance(obj["intervals"], list):
         raise ValidationError("intervals must be a list")
     floats = [float(obj[key]) for key in _HEADER]
-    patterns: dict[tuple, tuple] = {}  # endpoint tuple -> its pairs tuple
+    patterns: dict[tuple, np.ndarray] = {}  # endpoint tuple -> its pairs array
     if obj["version"] == 2:
         return PulseSchedule(*floats, steps, _v2_intervals(obj["patterns"], obj["intervals"], patterns))
     intervals = []
@@ -308,15 +290,33 @@ def _v2_intervals(table, entries: list, patterns: dict) -> list[PulseInterval]:
     return [PulseInterval(idx, table[p]) for idx, p in zip(flat[0::2], flat[1::2])]
 
 
-def _pattern(where: str, on: list, patterns: dict) -> tuple:
+def _pattern(where: str, on: list, patterns: dict) -> np.ndarray:
     """``on`` as int pairs, checked and built once per distinct list; keyed once typed, as true == 1 == 1.0."""
     flat = _int_pairs(on)
     key = None if flat is None else tuple(flat)
-    pairs = patterns.get(key)
-    if pairs is None:
+    if (pairs := patterns.get(key)) is None:
         if flat is None or len(set(flat)) != len(flat):
             _raise_first_bad_pair(where, on)
-        pairs = patterns[key] = tuple(zip(flat[0::2], flat[1::2]))
+        pairs = patterns[key] = _pair_array(where, on, flat)
+    return pairs
+
+
+def _pair_array(where: str, on, flat: list | None) -> np.ndarray:
+    """``on``, with endpoints ``flat`` from ``_int_pairs``, as a read-only ``(p, 2)`` intp array; else names the first
+    pair that is not two ints, Python or numpy (a bool is neither), or holds a node outside the intp range."""
+    if flat is None:
+        for pair in on:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(
+                type(v) is int or isinstance(v, np.integer) for v in pair  # type() is int excludes bool
+            ):
+                raise ValidationError(f"{where}: pair {pair!r} must be a list of two node indices")
+        flat = [int(v) for pair in on for v in pair]
+    try:
+        pairs = np.array(flat, dtype=np.intp).reshape(-1, 2)
+    except OverflowError:
+        bad = next(pair for pair in on if not all(-_MAX_INDEX - 1 <= int(v) <= _MAX_INDEX for v in pair))
+        raise ValidationError(f"{where}: pair {bad!r} has a node outside [{-_MAX_INDEX - 1}, {_MAX_INDEX}]") from None
+    pairs.flags.writeable = False
     return pairs
 
 

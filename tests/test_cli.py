@@ -460,8 +460,8 @@ class TestScheduleCommand:
         assert main(["schedule", "--path", "5", "--steps", "1", "--out", str(tmp_path)]) == 0
         schedule = parse_schedule((tmp_path / "schedule.json").read_text())
         assert len(schedule.intervals) == 2
-        assert schedule.intervals[0].on_pairs == ((0, 1), (2, 3))
-        assert schedule.intervals[1].on_pairs == ((1, 2), (3, 4))
+        assert schedule.intervals[0].on_pairs.tolist() == [[0, 1], [2, 3]]
+        assert schedule.intervals[1].on_pairs.tolist() == [[1, 2], [3, 4]]
         out = capsys.readouterr().out
         assert "validation: ok" in out
         assert "feasibility" in out and "0.1 us" in out

@@ -35,6 +35,7 @@ from sqwbench.schedule import (
 from sqwbench.walk import CONVENTION_ABSTRACT, WalkConfig, evolve, initial_basis_state
 
 DATA = Path(__file__).parent / "data"
+RANGE = f"[{np.iinfo(np.intp).min}, {np.iinfo(np.intp).max}]"  # the node range of a pair array
 
 
 def compile_quietly(*args, **kwargs):
@@ -89,10 +90,10 @@ def reference_validate(s, g):
     violations = []
     if not s.tau_seconds > 0.0:
         violations.append(f"interval length {s.tau_seconds!r} is not positive")
-    edge_set = g.edge_set()
+    edge_set = set(g.edges)
     for interval in s.intervals:
         driven = set()
-        for pair in interval.on_pairs:
+        for pair in map(tuple, interval.on_pairs.tolist()):
             i, j = pair
             if (min(i, j), max(i, j)) not in edge_set:
                 violations.append(f"interval {interval.index}: pair {pair} is not an edge of the graph")
@@ -119,8 +120,8 @@ class TestCompile:
         run = compile_quietly(g, ts, math.pi / 3, DEFAULT_PARAMS, 1)
         s = run.schedule
         assert len(s.intervals) == 2
-        assert s.intervals[0].on_pairs == ((0, 1), (2, 3))
-        assert s.intervals[1].on_pairs == ((1, 2), (3, 4))
+        assert s.intervals[0].on_pairs.tolist() == [[0, 1], [2, 3]]
+        assert s.intervals[1].on_pairs.tolist() == [[1, 2], [3, 4]]
         assert s.intervals[0].index == 0 and s.intervals[1].index == 1
         assert s.repetitions == 1
         assert s.tau_seconds > 0
@@ -139,7 +140,7 @@ class TestCompile:
         assert len(run.schedule.intervals) == 8
         counts: dict = {}
         for interval in run.schedule.intervals:
-            for pair in interval.on_pairs:
+            for pair in map(tuple, interval.on_pairs.tolist()):
                 counts[pair] = counts.get(pair, 0) + 1
         assert set(counts) == set(g.edges)
         assert all(c == 2 for c in counts.values())
@@ -147,7 +148,7 @@ class TestCompile:
     def test_one_step_union_covers_edge_set(self):
         g, ts = generate_lattice_tessellations([4, 3])
         run = compile_quietly(g, ts, math.pi / 3, DEFAULT_PARAMS, 1)
-        on = {p for iv in run.schedule.intervals for p in iv.on_pairs}
+        on = {tuple(p) for iv in run.schedule.intervals for p in iv.on_pairs.tolist()}
         assert on == set(g.edges)
 
     def test_invalid_tessellation_rejected(self):
@@ -224,7 +225,9 @@ class TestSoundness:
             PulseInterval(iv.index, tuple((j, i) for i, j in reversed(iv.on_pairs))) for iv in run.schedule.intervals
         )
         reordered = dataclasses.replace(run.schedule, intervals=intervals)
-        assert [iv.on_pairs[0] for iv in intervals] == [iv.on_pairs[-1][::-1] for iv in run.schedule.intervals]
+        assert [iv.on_pairs[0].tolist() for iv in intervals] == [
+            iv.on_pairs[-1, ::-1].tolist() for iv in run.schedule.intervals
+        ]
         psi = initial_basis_state(g.node_count, 7)
         expected = simulate_compiled(run, psi, g).tobytes()
         for schedule in (reordered, parse_schedule(emit_schedule(reordered))):
@@ -323,14 +326,11 @@ class TestValidateMatchesPairByPair:
             ((0, 2), (2, 0), (1, 1), (4, 5)),
             # -2049638230412172401 * 9 wraps to 7 in int64, and 7 + 4 is the key of edge (1, 2)
             ((-1, 0), (-1, 10), (-9, 9), (-2049638230412172401, 4)),
-            ((0, 2**70), (2**70, 1), (3, 4)),
-            ((2**70, 2**71), (2**63, -(2**63) - 1)),
-            ((0, 1.5), (1.0, 0)),
             ((np.int64(0), np.int64(1)), (np.int64(1), np.int64(2))),
             (),
         ],
         ids=["non-edge", "out-of-range", "self-pair", "repeat-across", "repeat-within", "mixed-order",
-             "negative", "2**70", "beyond-int64", "floats", "numpy-ints", "empty"],
+             "negative", "numpy-ints", "empty"],
     )
     def test_same_messages(self, on):
         g, ts = generate_lattice_tessellations([3, 3])
@@ -375,8 +375,8 @@ class TestEmitterBytes:
     def test_equal_tuples_emit_equal_bytes_shared_or_not(self):
         g, ts = generate_lattice_tessellations([3, 4])
         run = compile_quietly(g, ts, math.pi / 3, DEFAULT_PARAMS, 3)
-        # a fresh tuple per interval, equal to the compiled one it copies
-        unshared = tuple(PulseInterval(iv.index, tuple(list(iv.on_pairs))) for iv in run.schedule.intervals)
+        # a fresh array per interval, equal to the compiled one it copies
+        unshared = tuple(PulseInterval(iv.index, iv.on_pairs.copy()) for iv in run.schedule.intervals)
         assert unshared[0].on_pairs is not unshared[len(ts)].on_pairs
         copy = dataclasses.replace(run.schedule, intervals=unshared)
         assert copy == run.schedule
@@ -503,6 +503,9 @@ class TestWireFormat:
             ("[[5, 6], [7, 8], [6, [1]]]", "interval 1: pair [6, [1]] must be a list of two node indices"),
             ("[[-1, 0], [2, -1]]", "interval 1: node -1 is driven by more than one pair"),
             (f"[[0, {2**70}], [{2**70}, 1]]", f"interval 1: node {2**70} is driven by more than one pair"),
+            (f"[[0, 1], [{2**70}, 2]]", f"interval 1: pair [{2**70}, 2] has a node outside {RANGE}"),
+            (f"[[0, 1], [2, {-(2**63) - 1}]]", f"interval 1: pair [2, {-(2**63) - 1}] has a node outside {RANGE}"),
+            (f"[[0, {2**70}], [3, 3]]", "interval 1: pair [3, 3] repeats a node"),
         ],
     )
     def test_first_bad_pair_named(self, on, message):
@@ -510,11 +513,30 @@ class TestWireFormat:
             parse_schedule(schedule_json(on))
         assert str(info.value) == message
 
-    def test_pairs_load_as_int_tuples(self):
-        s = parse_schedule(schedule_json(f"[[2, 0], [-1, {2**70}], [3, 1]]"))
-        assert s.intervals[1].on_pairs == ((2, 0), (-1, 2**70), (3, 1))
-        assert all(type(p) is tuple and type(v) is int for iv in s.intervals for p in iv.on_pairs for v in p)
-        assert parse_schedule(schedule_json("[]")).intervals[1].on_pairs == ()
+    def test_pairs_load_as_read_only_int_arrays(self):
+        s = parse_schedule(schedule_json(f"[[2, 0], [-1, {2**62}], [3, 1]]"))
+        assert s.intervals[1].on_pairs.tolist() == [[2, 0], [-1, 2**62], [3, 1]]
+        assert all(iv.on_pairs.dtype == np.intp and not iv.on_pairs.flags.writeable for iv in s.intervals)
+        assert parse_schedule(schedule_json("[]")).intervals[1].on_pairs.shape == (0, 2)
+
+    def test_pairs_out_of_order_keep_their_order(self):
+        # a version 1 file whose pairs come high-low and in reverse
+        g, ts = generate_lattice_tessellations([4, 5])
+        run = compile_quietly(g, ts, math.pi / 3, DEFAULT_PARAMS, 2)
+        flipped = [iv.on_pairs[::-1, ::-1].tolist() for iv in run.schedule.intervals]
+        intervals = [{"idx": k, "on": on} for k, on in enumerate(flipped)]
+        s = parse_schedule(json.dumps({**HEADER, "steps": 2, "intervals": intervals}))
+        assert [iv.on_pairs.tolist() for iv in s.intervals] == flipped
+        text = emit_schedule(s)
+        assert json.loads(text)["patterns"] == flipped[: len(ts)] and text == reference_emit_v2(s)
+        assert validate_schedule(s, g) == reference_validate(s, g) == []
+        # every other edge gone: each missing one is named once per step, as the file holds it, in the file's order
+        sparse = build_graph(g.node_count, g.edge_array[::2].tolist())
+        expected = reference_validate(s, sparse)
+        assert validate_schedule(s, sparse) == expected and len(expected) == 2 * len(g.edge_array[1::2])
+        psi = initial_basis_state(g.node_count, 7)
+        canonical = simulate_compiled(run, psi, g).tobytes()
+        assert simulate_compiled(dataclasses.replace(run, schedule=s), psi, g).tobytes() == canonical
 
     def test_malformed_pair_rejected_on_load(self):
         text = (
@@ -549,7 +571,8 @@ class TestWireFormatV2:
 
     def test_equal_table_entries_share_one_tuple(self):
         s = parse_schedule(json.dumps({**HEADER_V2, "patterns": [[[0, 1]], [[0, 1]]], "intervals": [[0, 1], [1, 0]]}))
-        assert s.intervals[0].on_pairs is s.intervals[1].on_pairs == ((0, 1),)
+        assert s.intervals[0].on_pairs is s.intervals[1].on_pairs
+        assert s.intervals[0].on_pairs.tolist() == [[0, 1]]
 
     def test_missing_patterns_key_named(self):
         fields = {key: value for key, value in HEADER_V2.items() if key != "patterns"}
@@ -585,6 +608,9 @@ class TestWireFormatV2:
             ({"flux_on": -(10**400)}, f"flux_on must be finite, got {-(10**400)}"),
             ({"flux_off": math.nan}, "flux_off must be finite, got nan"),
             ({"tau_s": math.inf}, "tau_s must be finite, got inf"),
+            ({"patterns": [[[0, 1]], [[2, 2**70]]]}, f"pattern 1: pair [2, {2**70}] has a node outside {RANGE}"),
+            ({"patterns": [[[-(2**63) - 1, 0]]]}, f"pattern 0: pair [{-(2**63) - 1}, 0] has a node outside {RANGE}"),
+            ({"patterns": [[[0, 2**70], [2**70, 1]]]}, f"pattern 0: node {2**70} is driven by more than one pair"),
         ],
     )
     def test_bad_field_named(self, fields, message):
@@ -691,8 +717,8 @@ class TestSharedPatterns:
     def test_equal_parsed_lists_share_one_tuple(self):
         s = parse_schedule(schedule_json_of("[[0, 1], [2, 3]]", "[[1, 2]]", "[[0, 1], [2, 3]]", "[[1, 0], [2, 3]]"))
         first, other, repeat, reversed_pair = (iv.on_pairs for iv in s.intervals)
-        assert repeat is first and first == ((0, 1), (2, 3))
-        assert other is not first and reversed_pair is not first and reversed_pair == ((1, 0), (2, 3))
+        assert repeat is first and first.tolist() == [[0, 1], [2, 3]]
+        assert other is not first and reversed_pair is not first and reversed_pair.tolist() == [[1, 0], [2, 3]]
         assert emit_schedule(s) == reference_emit_v2(s)
 
     @pytest.mark.parametrize("endpoint,shown", [("true", "True"), ("1.0", "1.0")])
@@ -703,9 +729,31 @@ class TestSharedPatterns:
             parse_schedule(text)
         assert str(info.value) == f"interval 2: pair [0, {shown}] must be a list of two node indices"
 
+    def test_compiled_intervals_hold_the_tessellations_pairs(self):
+        g, ts = generate_lattice_tessellations([3, 4])
+        run = compile_quietly(g, ts, math.pi / 3, DEFAULT_PARAMS, 3)
+        assert all(iv.on_pairs is ts[k % len(ts)].pairs for k, iv in enumerate(run.schedule.intervals))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_parsed_intervals_share_one_array_per_pattern(self, version):
+        g, ts = generate_lattice_tessellations([3, 4])
+        run = compile_quietly(g, ts, math.pi / 3, DEFAULT_PARAMS, 3)
+        text = (reference_emit if version == 1 else emit_schedule)(run.schedule)
+        arrays = {id(iv.on_pairs): iv.on_pairs for iv in parse_schedule(text).intervals}
+        assert len(arrays) == len(ts) and all(type(on) is np.ndarray for on in arrays.values())
+
+    def test_validate_builds_no_edge_tuples(self):
+        g, ts = generate_lattice_tessellations((20, 20))
+        run = compile_quietly(g, ts, math.pi / 3, DEFAULT_PARAMS, 2)
+        bad = dataclasses.replace(run.schedule, intervals=run.schedule.intervals + (PulseInterval(8, [(0, 2)]),))
+        for s, expected in ((run.schedule, []), (bad, ["interval 8: pair (0, 2) is not an edge of the graph"])):
+            fresh, _ = generate_lattice_tessellations((20, 20))
+            assert validate_schedule(s, fresh) == expected
+            assert "edges" not in vars(fresh)
+
     def test_shared_bad_tuple_reported_for_each_interval(self):
         g, _ = generate_path_tessellations(5)
-        bad, good = ((0, 1), (1, 2), (3, 5)), ((0, 1), (2, 3))
+        bad, good = (PulseInterval(0, on).on_pairs for on in (((0, 1), (1, 2), (3, 5)), ((0, 1), (2, 3))))
         s = PulseSchedule(1e-9, 1.0, 0.48, 2, tuple(PulseInterval(k, (bad, good)[k % 2]) for k in range(4)))
         assert s.intervals[0].on_pairs is s.intervals[2].on_pairs is bad
         expected = reference_validate(s, g)
@@ -713,9 +761,53 @@ class TestSharedPatterns:
         assert validate_schedule(s, g) == expected
         assert emit_schedule(s) == reference_emit_v2(s)
 
-    def test_interval_normalizes_anything_but_a_tuple_of_tuples(self):
-        pairs = ((0, 1), (2, 3))
+    def test_interval_copies_anything_but_a_read_only_pair_array(self):
+        pairs = np.array([[0, 1], [2, 3]], dtype=np.intp)
+        pairs.flags.writeable = False
         assert PulseInterval(0, pairs).on_pairs is pairs
-        for given in ([(0, 1), (2, 3)], ([0, 1], [2, 3]), ((0, 1), [2, 3]), iter(pairs)):
-            on = PulseInterval(0, given).on_pairs
-            assert on == pairs and type(on) is tuple and all(type(p) is tuple for p in on)
+        given = [
+            [(0, 1), (2, 3)], ([0, 1], [2, 3]), ((0, 1), [2, 3]), iter([(0, 1), (2, 3)]),
+            ((np.int64(0), 1), (np.uint8(2), np.int32(3))), pairs.copy(), pairs.astype(np.int32),
+            np.array([[0, 9, 1], [2, 9, 3]])[:, ::2],
+        ]
+        for on in given:
+            kept = PulseInterval(0, on).on_pairs
+            assert kept is not on and kept.dtype == np.intp and not kept.flags.writeable
+            assert kept.tolist() == [[0, 1], [2, 3]]
+        assert PulseInterval(0, ()).on_pairs.shape == PulseInterval(0, np.empty(0)).on_pairs.shape == (0, 2)
+        assert PulseInterval(0, [(0, 1)]) == PulseInterval(0, pairs[:1]) != PulseInterval(1, pairs[:1])
+        assert hash(PulseInterval(0, [(0, 1)])) == hash(PulseInterval(0, pairs[:1]))
+
+
+class TestIntervalGuard:
+    """A hand-built interval whose pairs are not two in-range ints is rejected, naming the interval and the pair."""
+
+    NOT_TWO, OUTSIDE = "must be a list of two node indices", f"has a node outside {RANGE}"
+
+    @pytest.mark.parametrize(
+        "on,shown,fault",
+        [
+            (((0, 2**70), (2**70, 1), (3, 4)), (0, 2**70), OUTSIDE),
+            (((2**70, 2**71), (2**63, -(2**63) - 1)), (2**70, 2**71), OUTSIDE),
+            (((0, 1), (-(2**63) - 1, 2)), (-(2**63) - 1, 2), OUTSIDE),
+            (((np.uint64(2**63), 0),), (np.uint64(2**63), 0), OUTSIDE),
+            (((0, 1.5), (1.0, 0)), (0, 1.5), NOT_TWO),
+            (((0, 1), (1.0, 2)), (1.0, 2), NOT_TWO),
+            (((True, 1),), (True, 1), NOT_TWO),
+            (((0, 1), (2, 3), (4, False)), (4, False), NOT_TWO),
+            (((np.True_, 1),), (np.True_, 1), NOT_TWO),
+            (np.array([[0.0, 1.0]]), [0.0, 1.0], NOT_TWO),
+            (np.array([[True, False]]), [True, False], NOT_TWO),
+            (((0, 1, 2),), (0, 1, 2), NOT_TWO),
+            (((0, 1), (2,)), (2,), NOT_TWO),
+            ([0, 1], 0, NOT_TWO),
+            (np.arange(4), 0, NOT_TWO),
+        ],
+        ids=["2**70", "beyond-int64", "below-int64", "numpy-uint64", "floats", "whole-float", "bool",
+             "bool-among-ints", "numpy-bool", "float-array", "bool-array", "three-entries", "one-entry",
+             "flat-list", "flat-array"],
+    )
+    def test_rejected(self, on, shown, fault):
+        with pytest.raises(ValidationError) as info:
+            PulseInterval(2, on)
+        assert str(info.value) == f"interval 2: pair {shown!r} {fault}"
