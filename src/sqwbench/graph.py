@@ -36,15 +36,14 @@ __all__ = [
 
 
 _MAX_INDEX = np.iinfo(np.intp).max
+_KEY_BOUND = math.isqrt(_MAX_INDEX + 1)  # b <= this keeps keys low * b + high of nodes below b within an intp
 
 
 class Graph:
     """Simple undirected graph on nodes 0..node_count-1.
 
-    ``edge_array`` holds the edges once, canonically: a read-only
-    ``(m, 2)`` int array, each row low-high, the rows sorted, no
-    duplicates and no self-loops.  ``edges`` is the same list as int
-    tuples.
+    ``edge_array`` holds the edges once, canonically: a read-only ``(m, 2)`` int array, each row low-high, the rows
+    sorted, no duplicates and no self-loops.  ``edges`` is the same list as int tuples.
     """
 
     def __init__(self, node_count: int, edges=()):
@@ -75,11 +74,11 @@ class Graph:
 
     def _set(self, node_count: int, pairs) -> None:
         pairs = _canonical_pairs(pairs)
-        if len(pairs):
-            pairs = pairs[np.r_[True, (pairs[1:] != pairs[:-1]).any(axis=1)]]
+        if len(pairs):  # compress and take move (m, 2) rows several times faster than a mask or an index array
+            new = (pairs[1:, 0] != pairs[:-1, 0]) | (pairs[1:, 1] != pairs[:-1, 1])
+            pairs = pairs.compress(np.r_[True, new], axis=0)
         pairs.flags.writeable = False
-        self.node_count = node_count
-        self.edge_array = pairs
+        self.node_count, self.edge_array = node_count, pairs
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -102,35 +101,47 @@ class Graph:
 
     @cached_property
     def _ranks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sorted distinct endpoints, and each row's key ``low * e + high``, its nodes replaced by their ranks.
+        """The e sorted endpoints that index the nodes, and each row's key ``low * e + high`` on those indices.
 
-        A node's rank is its index among the e endpoints, so arrays indexed by ranks are sized by the edges, not
-        by ``node_count``.  Keys sort like the rows and stay below (2m)**2; ``np.divmod(keys, e)`` gives the ranks.
+        When the largest endpoint is below 4m a node is its own index: the endpoints are ``arange(e)``, some perhaps
+        on no edge.  Otherwise a node's index is its rank among them.  So e <= 4m, and arrays indexed by nodes are
+        sized by the edges, not by ``node_count``.  Keys sort like the rows; ``np.divmod(keys, e)`` gives the indices.
         """
+        low, high = self.edge_array.T
+        size = int(high.max(initial=-1)) + 1
+        if size <= 4 * len(high):
+            return np.arange(size), low * size + high
         # sort and compare neighbours: faster than np.unique's hash path, and a lower peak than its return_inverse
         flat = np.sort(self.edge_array, axis=None)
         endpoints = np.r_[flat[:1], flat[1:][flat[1:] != flat[:-1]]]
-        lo, hi = (np.searchsorted(endpoints, column) for column in self.edge_array.T)
-        return endpoints, lo * endpoints.size + hi
+        low, high = (np.searchsorted(endpoints, column) for column in (low, high))
+        return endpoints, low * endpoints.size + high
 
     def _edge_index(self, pairs: np.ndarray) -> np.ndarray:
         """Row of ``edge_array`` equal to each low-high row of ``pairs``, or -1 for a non-edge."""
-        found = np.full(len(pairs), -1, dtype=np.intp)
-        if not self.edge_array.size:
-            return found
         endpoints, keys = self._ranks
-        query = np.minimum(np.searchsorted(endpoints, pairs), endpoints.size - 1)
-        key = query[:, 0] * endpoints.size + query[:, 1]
+        if not keys.size:
+            return np.full(len(pairs), -1, dtype=np.intp)
+        size = endpoints.size
+        # a node is its own index when the endpoints are 0..size-1 (see _ranks); one clipped into range fails below
+        query = np.clip(pairs if endpoints[-1] < size else np.searchsorted(endpoints, pairs), 0, size - 1)
+        key = query[:, 0] * size + query[:, 1]
         row = np.minimum(np.searchsorted(keys, key), keys.size - 1)
-        hit = (endpoints[query] == pairs).all(axis=1) & (keys[row] == key)
-        found[hit] = row[hit]
-        return found
+        same = endpoints[query] == pairs  # compared column by column: .all(axis=1) is several times slower
+        return np.where(same[:, 0] & same[:, 1] & (keys[row] == key), row, -1)
 
 
 def _canonical_pairs(pairs) -> np.ndarray:
-    """``pairs`` as a ``(p, 2)`` intp array, each row ordered low-high and the rows sorted."""
-    pairs = np.sort(np.asarray(pairs, dtype=np.intp).reshape(-1, 2), axis=1)
-    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    """``pairs`` as a ``(p, 2)`` intp array, each row ordered low-high and the rows sorted: by one key
+    ``low * b + high``, b the largest node + 1, when every node is in [0, ``_KEY_BOUND``), else by ``np.lexsort``."""
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    low, high = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+    b = int(high.max(initial=-1)) + 1
+    if b > _KEY_BOUND or low.min(initial=0) < 0:
+        return np.stack((low, high), axis=1).take(np.lexsort((high, low)), axis=0)
+    out = np.empty_like(pairs)
+    np.divmod(np.sort(low * b + high), b, out=(out[:, 0], out[:, 1]))
+    return out
 
 
 def _checked_edges(node_count: int, edges) -> np.ndarray:
@@ -155,11 +166,9 @@ def _checked_edges(node_count: int, edges) -> np.ndarray:
 class Tessellation:
     """A candidate partition of the node set into 1- and 2-node elements.
 
-    ``pairs`` is a ``(p, 2)`` int array, each row ordered low-high and
-    the rows sorted; ``singletons`` is a sorted int array.  Both are
-    read-only, so two tessellations with the same elements compare
-    equal regardless of the order they were given in.  Whether the
-    elements actually partition a given graph's nodes is checked by
+    ``pairs`` is a ``(p, 2)`` int array, each row ordered low-high and the rows sorted; ``singletons`` is a sorted
+    int array.  Both are read-only, so two tessellations with the same elements compare equal regardless of the
+    order they were given in.  Whether the elements actually partition a given graph's nodes is checked by
     :func:`validate_tessellation`.
     """
 
@@ -243,14 +252,12 @@ def build_graph(node_count: int, edges) -> Graph:
 def is_triangle_free(g: Graph) -> bool:
     """True iff no three nodes of ``g`` are mutually adjacent.
 
-    Each edge points from the node earlier in the order (degree, lowest neighbour, node) to
-    the later one, so a triangle a < b < c holds the directed 2-path a -> b -> c and the edge
-    (a, c).  Every directed 2-path u -> v -> w is listed and (u, w) looked up.  A node of
-    degree d has at most min(d, 2m/d) <= sqrt(2m) out-neighbours, as each has degree d or more,
-    so there are at most m*sqrt(2m) paths (Chiba & Nishizeki 1985); they are listed in slices
-    of about m, so memory stays O(m).  The lowest-neighbour tie-break points every edge of a
-    complete bipartite graph from one side to the other, which leaves no 2-paths however ids
-    interleave.
+    Each edge points from the node earlier in the order (degree, lowest neighbour, node) to the later one, so a
+    triangle a < b < c holds the directed 2-path a -> b -> c and the edge (a, c).  Every directed 2-path u -> v -> w
+    is listed and (u, w) looked up.  A node of degree d has at most min(d, 2m/d) <= sqrt(2m) out-neighbours, as each
+    has degree d or more, so there are at most m*sqrt(2m) paths (Chiba & Nishizeki 1985); they are listed in slices
+    of about m, so memory stays O(m).  The lowest-neighbour tie-break points every edge of a complete bipartite
+    graph from one side to the other, which leaves no 2-paths however ids interleave.
     """
     endpoints, keys = g._ranks
     m, size = len(keys), len(endpoints)
@@ -260,9 +267,10 @@ def is_triangle_free(g: Graph) -> bool:
     # the row keys (see Graph._ranks) in both orientations, sorted, group each node's neighbours
     node, neighbour = np.divmod(np.sort(np.concatenate((keys, hi * size + lo))), size)
     first = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
-    # every rank is an endpoint, so the runs are the nodes in order
-    degree, lowest = np.diff(np.r_[first, 2 * m]), neighbour[first]
-    # (degree, lowest neighbour, rank) of lo against hi; lo < hi settles a tie
+    # an index may be on no edge (see Graph._ranks), so degrees are counted and lowest neighbours scattered
+    degree, lowest = np.bincount(node, minlength=size), np.zeros(size, dtype=np.intp)
+    lowest[node[first]] = neighbour[first]
+    # (degree, lowest neighbour, index) of lo against hi; lo < hi settles a tie
     forward = (degree[lo] < degree[hi]) | ((degree[lo] == degree[hi]) & (lowest[lo] <= lowest[hi]))
     tail, head = np.where(forward, lo, hi), np.where(forward, hi, lo)
     # out-neighbours of node v: out_heads[out_start[v] : out_start[v] + out_count[v]]
@@ -293,15 +301,15 @@ def validate_tessellation(g: Graph, t: Tessellation) -> list[str]:
     Returns a list of human-readable violations; an empty list means the
     tessellation is valid.  Violations are data, not exceptions.
     """
-    violations = [] if t.partitions(g.node_count) else _partition_violations(t, g.node_count)
-    off_graph = t.pairs[g._edge_index(t.pairs) < 0]
-    violations.extend(f"element {tuple(p)} is not an edge of the graph" for p in off_graph.tolist())
-    return violations
+    return _violations(g, t, g._edge_index(t.pairs))
 
 
-def _partition_violations(t: Tessellation, node_count: int) -> list[str]:
-    violations = []
-    covered: set[int] = set()
+def _violations(g: Graph, t: Tessellation, rows: np.ndarray) -> list[str]:
+    """``validate_tessellation``'s violations, given the edge row ``g._edge_index`` finds for each pair of ``t``."""
+    off_graph = [f"element {tuple(p)} is not an edge of the graph" for p in t.pairs.compress(rows < 0, axis=0).tolist()]
+    if t.partitions(node_count := g.node_count):
+        return off_graph
+    violations, covered = [], set()
     for element in t.elements:
         for v in element:
             if v >= node_count:
@@ -316,7 +324,7 @@ def _partition_violations(t: Tessellation, node_count: int) -> list[str]:
         violations.append(f"nodes {first} and {gap - 20} more ({gap} in all) are not covered by any element")
     elif gap:
         violations.append(f"nodes {first} are not covered by any element")
-    return violations
+    return violations + off_graph
 
 
 def validate_tessellation_set(g: Graph, ts: TessellationSet) -> list[str]:
@@ -324,8 +332,8 @@ def validate_tessellation_set(g: Graph, ts: TessellationSet) -> list[str]:
     violations = []
     covered = np.zeros(len(g.edge_array), dtype=bool)
     for k, t in enumerate(ts):
-        violations.extend(f"tessellation {k}: {msg}" for msg in validate_tessellation(g, t))
         rows = g._edge_index(t.pairs)
+        violations.extend(f"tessellation {k}: {msg}" for msg in _violations(g, t, rows))
         covered[rows[rows >= 0]] = True
     if not covered.all():
         uncovered = np.flatnonzero(~covered).tolist()
@@ -350,12 +358,10 @@ def generate_path_tessellations(node_count: int) -> tuple[Graph, TessellationSet
 def generate_lattice_tessellations(dims) -> tuple[Graph, TessellationSet]:
     """Open N-dimensional lattice with its 2N staggered tessellations.
 
-    Nodes are indexed row-major over ``dims``.  For each axis there are
-    two tessellations: the edge from a node to its axis-successor goes
-    into the tessellation selected by the parity of the node's
-    coordinate sum.  Both parities together cover every edge of the
-    axis, every interior node is paired in all 2N tessellations, and the
-    1-D case is the path construction.
+    Nodes are indexed row-major over ``dims``.  For each axis there are two tessellations: the edge from a node to
+    its axis-successor goes into the tessellation selected by the parity of the node's coordinate sum.  Both parities
+    together cover every edge of the axis, every interior node is paired in all 2N tessellations, and the 1-D case
+    is the path construction.
     """
     dims = list(dims)
     if not dims:
@@ -387,12 +393,10 @@ def generate_lattice_tessellations(dims) -> tuple[Graph, TessellationSet]:
 def greedy_tessellate(g: Graph) -> TessellationSet:
     """Cover all edges of a triangle-free graph with maximal matchings.
 
-    Each round takes a maximal matching of the still-uncovered edges,
-    preferring edges whose endpoints have the highest remaining degree
-    (this keeps the round count at or below max_degree + 1 on every
-    graph family we have exercised).  A warning is issued when the count
-    exceeds the maximum degree, which can happen on class-2 graphs such
-    as odd cycles.
+    Each round takes a maximal matching of the still-uncovered edges, preferring edges whose endpoints have the
+    highest remaining degree (this keeps the round count at or below max_degree + 1 on every graph family we have
+    exercised).  A warning is issued when the count exceeds the maximum degree, which can happen on class-2 graphs
+    such as odd cycles.
     """
     if not is_triangle_free(g):
         raise ValidationError("graph contains a triangle; staggered tessellations need triangle-free input")
@@ -403,14 +407,13 @@ def greedy_tessellate(g: Graph) -> TessellationSet:
     while uncovered.size:
         degree = np.bincount(uncovered.ravel())
         lo_degree, hi_degree = degree[uncovered[:, 0]], degree[uncovered[:, 1]]
-        # by higher then lower endpoint degree, both descending; the rows stay sorted, so a stable
-        # sort breaks ties by row
+        # by higher then lower endpoint degree, both descending; a stable sort of the sorted rows breaks ties by row
         order = np.argsort(
             -(np.maximum(lo_degree, hi_degree) * degree.size + np.minimum(lo_degree, hi_degree)), kind="stable"
         )
         matched = _greedy_matching(uncovered, order)
-        tessellations.append(Tessellation._from_pairs(endpoints[uncovered[matched]], g.node_count))
-        uncovered = uncovered[~matched]
+        tessellations.append(Tessellation._from_pairs(endpoints[uncovered.compress(matched, axis=0)], g.node_count))
+        uncovered = uncovered.compress(~matched, axis=0)
         if len(tessellations) > max_degree + 1:
             raise ValidationError(
                 f"matching decomposition needed more than max_degree+1 = {max_degree + 1} rounds; "
@@ -439,7 +442,7 @@ def _greedy_matching(pairs: np.ndarray, order: np.ndarray) -> np.ndarray:
     used = np.zeros(int(pairs.max()) + 1, dtype=bool)
     live = order
     while live.size:
-        ends = pairs[live]
+        ends = pairs.take(live, axis=0)
         # entry 2k + s is node ends[k, s]; sorted (node, entry) keys head each node's run with its first live row
         bits = (2 * live.size).bit_length()
         key = np.sort(ends.ravel() << bits | np.arange(2 * live.size))
@@ -452,12 +455,10 @@ def _greedy_matching(pairs: np.ndarray, order: np.ndarray) -> np.ndarray:
         used[lo[kept]] = used[hi[kept]] = True
         rest = live[~(used[lo] | used[hi])]
         if 4 * (live.size - rest.size) < live.size:
-            taken: set[int] = set()
-            for k, (i, j) in zip(rest.tolist(), pairs[rest].tolist()):
-                if i not in taken and j not in taken:
-                    matched[k] = True
-                    taken.add(i)
-                    taken.add(j)
+            taken = used.tolist()  # no node of a rest row is used yet
+            for k, (i, j) in zip(rest.tolist(), pairs.take(rest, axis=0).tolist()):
+                if not (taken[i] or taken[j]):
+                    matched[k] = taken[i] = taken[j] = True
             break
         live = rest
     return matched
@@ -504,7 +505,6 @@ def graph_from_json(text: str) -> tuple[Graph, TessellationSet | None]:
                 raise ValidationError(f"tessellation entry {raw!r} must be a list of node lists")
             tessellations.append(Tessellation(tuple(tuple(el) for el in raw)))
         ts = tuple(tessellations)
-        violations = validate_tessellation_set(g, ts)
-        if violations:
+        if violations := validate_tessellation_set(g, ts):
             raise ValidationError("invalid tessellations in graph JSON: " + "; ".join(violations))
     return g, ts

@@ -162,8 +162,7 @@ def validate_schedule(s: PulseSchedule, g: Graph) -> list[str]:
         violations.append(f"interval length {s.tau_seconds!r} is not positive")
     faults = {}  # id(on_pairs) -> which of its pairs are edges, or None if it is sound; s keeps each array alive
     for interval in s.intervals:
-        on = interval.on_pairs
-        if id(on) not in faults:
+        if id(on := interval.on_pairs) not in faults:
             is_edge, nodes = g._edge_index(np.sort(on, axis=1)) >= 0, np.sort(on, axis=None)
             faults[id(on)] = None if is_edge.all() and (nodes[1:] != nodes[:-1]).all() else is_edge.tolist()
         if (is_edge := faults[id(on)]) is not None:  # walked pair by pair only to word the violations
@@ -208,7 +207,7 @@ def emit_schedule(s: PulseSchedule) -> str:
     """Serialize a schedule to its versioned JSON wire format, version 2.
 
     Keys one per line, as ``json.dumps(payload, indent=2)`` places them, floats at 17 significant digits.
-    Each distinct ``on_pairs`` array, keyed by ``id`` and then by its bytes, is one line of the
+    Each distinct ``on_pairs`` array, keyed by ``id`` and then by its bytes, is one ``[[%d, %d], ...]`` line of the
     ``"patterns"`` table in first-use order; ``"intervals"`` is one line of ``[idx, pattern]`` entries.
     """
     header = s.tau_seconds, s.flux_on_ratio, s.flux_off_ratio
@@ -222,7 +221,8 @@ def emit_schedule(s: PulseSchedule) -> str:
         if p is None:
             p = numbers[id(iv.on_pairs)] = table.setdefault(iv.on_pairs.tobytes(), (len(table), iv.on_pairs))[0]
         entries.append((iv.index, p))
-    patterns = "[\n" + ",\n".join("    " + _dumps(on.tolist()) for _, on in table.values()) + "\n  ]" if table else "[]"
+    lines = ("    [" + ("[%d, %d], " * len(on))[:-2] % tuple(on.ravel().tolist()) + "]" for _, on in table.values())
+    patterns = "[\n" + ",\n".join(lines) + "\n  ]" if table else "[]"
     # "-0" would load as the integer 0, so -0.0 is written as a float
     floats = ["-0.0" if repr(float(v)) == "-0.0" else fmt17(v) for v in header]
     return _LAYOUT % (SCHEDULE_SCHEMA_VERSION, *floats, s.repetitions, patterns, _dumps(entries))

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sqwbench
-from sqwbench import errors
+from sqwbench import errors, graph
 from sqwbench.errors import ValidationError
 from sqwbench.graph import (
     Tessellation,
@@ -806,3 +806,113 @@ class TestGeneratorsMatchPerNodeConstruction:
                 "tessellations": [[list(el) for el in t] for t in elements],
             }
             assert graph_to_json(g, ts).encode() == (json.dumps(payload, indent=2) + "\n").encode(), dims
+
+
+def node_mode(g):
+    """True iff Graph._ranks indexes g's nodes by id rather than by rank."""
+    endpoints, _ = g._ranks
+    return np.array_equal(endpoints, np.arange(endpoints.size))
+
+
+def shifted(g, shift):
+    """g with every node id raised by ``shift``."""
+    return build_graph(g.node_count + shift, (g.edge_array + shift).tolist())
+
+
+def unshifted(outcome, shift):
+    """A greedy_outcome of a shifted graph with the ids shifted back and the added singletons dropped."""
+    result, caught = outcome
+    if isinstance(result, list):
+        result = [tuple(tuple(v - shift for v in el) for el in round_ if el[0] >= shift) for round_ in result]
+    return result, caught
+
+
+class TestIndexModes:
+    # Graph._ranks indexes nodes by id when the largest endpoint is below 4m, else by rank; every consumer must give
+    # the same answers either way
+
+    def test_node_and_rank_mode_agree(self):
+        rng = random.Random(4040)
+        modes, verdicts = [], set()
+        for trial in range(200):
+            n = rng.randint(2, 30)
+            if trial % 3 == 0:
+                g = random_triangle_free(rng, n, p=rng.uniform(0.1, 0.6))
+            elif trial % 3 == 1:
+                g = random_bipartite(rng, rng.randint(1, n), rng.randint(1, n))
+            else:
+                # may hold triangles; ids spread over range(2n) leave indices on no edge
+                ids = rng.sample(range(2 * n), n)
+                p = rng.uniform(0.05, 0.5)
+                g = build_graph(2 * n, [(ids[i], ids[j]) for i in range(n) for j in range(i) if rng.random() < p])
+            if not g.edges:
+                continue
+            far = shifted(g, 2**40)
+            modes.append(node_mode(g))
+            assert not node_mode(far)
+            assert is_triangle_free(far) == is_triangle_free(g) == reference_triangle_free(g), g
+            verdicts.add(is_triangle_free(g))
+            assert far.max_degree() == g.max_degree()
+            top = int(g.edge_array.max()) + 1
+            rows = {edge: k for k, edge in enumerate(g.edges)}
+            queries = [(a, b) for a in range(-2, top + 2) for b in range(a + 1, top + 3)]
+            # (a - 1, b + top) has the key a * top + b of edge (a, b) if nodes are not range-checked first
+            queries += [(a - 1, b + top) for a, b in g.edges] + [(a, b + top) for a, b in g.edges]
+            queries += [(-(2**40), b) for _, b in g.edges]
+            expected = [rows.get(q, -1) for q in queries]
+            assert g._edge_index(np.array(queries)).tolist() == expected, g
+            assert far._edge_index(np.array(queries) + 2**40).tolist() == expected, g
+            # greedy_tessellate's tessellations list every singleton, so its copy is shifted by only 4m, which is
+            # enough for rank mode
+            near = shifted(g, 4 * len(g.edges))
+            assert not node_mode(near)
+            expected = greedy_outcome(greedy_tessellate, g)
+            assert unshifted(greedy_outcome(greedy_tessellate, near), 4 * len(g.edges)) == expected, g
+            assert expected == greedy_outcome(reference_greedy, g)
+        # most graphs as given are in node mode, and both verdicts are reached
+        assert sum(modes) > 0.8 * len(modes) and len(modes) > 150
+        assert verdicts == {True, False}
+
+
+class TestCanonicalPairs:
+    # rows sort by one key low * b + high while every node is in [0, _KEY_BOUND), else by np.lexsort
+
+    @staticmethod
+    def reference(rows):
+        pairs = np.sort(np.asarray(rows, dtype=np.intp).reshape(-1, 2), axis=1)
+        return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+    @pytest.mark.parametrize(
+        "top,keyed",
+        [
+            (1, True),
+            (40, True),
+            (graph._KEY_BOUND - 1, True),
+            (graph._KEY_BOUND, False),
+            (graph._KEY_BOUND + 1, False),
+            (graph._MAX_INDEX, False),
+        ],
+    )
+    @pytest.mark.parametrize("negative", [False, True])
+    def test_matches_lexsort(self, monkeypatch, top, keyed, negative):
+        rng = random.Random(top)
+        nodes = sorted({0, 1, top - 1, top, top // 2} | {rng.randint(0, top) for _ in range(20)})
+        if negative:
+            nodes[0] = -3
+        rows = [tuple(rng.sample(nodes, 2)) for _ in range(60)]
+        rows += rows[:10] + [(j, i) for i, j in rows[10:20]]  # duplicates, in both orientations
+        rows.append((top - 1, top))
+        expected = self.reference(rows)
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+        for given in (rows, np.array(rows)):
+            got = graph._canonical_pairs(given)
+            assert got.dtype == np.intp and got.shape == expected.shape and np.array_equal(got, expected)
+        assert bool(calls) is not (keyed and not negative)
+
+    def test_empty(self, monkeypatch):
+        monkeypatch.setattr(np, "lexsort", None)  # the empty input takes the key path
+        for given in ([], (), np.empty((0, 2), dtype=np.intp)):
+            got = graph._canonical_pairs(given)
+            assert got.dtype == np.intp and got.shape == (0, 2)

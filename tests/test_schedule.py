@@ -404,6 +404,16 @@ class TestEmitterBytes:
         assert '"intervals": [[5, 0], [2, 1], [2, 2], [0, 0]]\n}\n' in text
         assert parse_schedule(text) == s
 
+    def test_pattern_lines_hold_any_int64_node(self):
+        # the pattern template writes each node as %d: negative, near 2**62 and at both ends of the int64 range
+        big = 2**62
+        ons = [((-1, big), (big - 1, -(2**63))), (), ((2**63 - 1, 0),), ((-5, -3), (0, 7), (9, 8)), ((1, 2),)]
+        s = PulseSchedule(1e-9, 1.0, 0.48, 1, tuple(PulseInterval(k, on) for k, on in enumerate(ons)))
+        text = emit_schedule(s)
+        assert text == reference_emit_v2(s)
+        assert f"\n    [[-1, {big}], [{big - 1}, {-(2**63)}]],\n    [],\n    [[{2**63 - 1}, 0]],\n" in text
+        assert parse_schedule(text) == s
+
 
 class TestFeasibility:
     def test_stock_constants_are_below_switching_budget(self):
