@@ -37,7 +37,7 @@ def distribution_rows(n: int):
     in the zero body, so the cuts are computed, not searched.
     ``"%.17g" % x`` renders the same digits as :func:`fmt17`.
     """
-    value = "".join(f"\t{node},%.17g\n" for node in range(n))
+    value = ("\t%d,%%.17g\n" * n) % tuple(range(n))
     zero = value.replace(",%.17g\n", ",0\n")
 
     def rows(step, dist):

@@ -95,7 +95,13 @@ def initial_basis_state(n: int, node: int) -> np.ndarray:
     return state
 
 
+class _Checked(np.ndarray):
+    """A view of a state that :func:`evolve` has checked; :func:`_as_state` passes it without summing |psi|^2."""
+
+
 def _as_state(state) -> np.ndarray:
+    if type(state) is _Checked:
+        return state.view(np.ndarray)
     psi = np.asarray(state, dtype=complex)
     if psi.ndim != 1:
         raise ValidationError("state must be a one-dimensional amplitude vector")
@@ -117,7 +123,9 @@ def local_unitary(state, t: Tessellation, cfg: WalkConfig) -> np.ndarray:
     _require_partition(t, psi.shape[0])
     c = math.cos(cfg.theta)
     s = math.sin(cfg.theta)
-    out = c * psi + 1j * s * psi[t._partner]
+    out = psi[t._partner]  # i*s*H psi + c*psi in the gathered array, each product's operands in that order
+    np.multiply(1j * s, out, out=out)
+    out += c * psi
     # H fixes singletons, so the formula gave them c*psi + i*s*psi; restore them, and for the
     # abstract phase take one in-place complex product, which can round differently from that sum
     out[t.singletons] = psi[t.singletons]
@@ -131,9 +139,10 @@ def evolve(state, ts: TessellationSet, cfg: WalkConfig, graph: Graph | None = No
 
     With a graph, each distinct tessellation object is validated against
     it once, first; without one, only the partition structure is checked.
-    ``on_step(l, psi)`` is called with the state after l full steps, l = 0
-    (the input array itself) to ``cfg.steps``; it must not modify ``psi``,
-    and must copy it to keep it.
+    The state is checked on entry and on exit, not on each kernel call: every step is unitary.
+    ``on_step(l, psi)`` is called with the state after l full steps, l = 0 (the input array
+    itself) to ``cfg.steps``; it must not modify ``psi`` (one that does is caught on exit at
+    the latest), and must copy it to keep it.
     """
     psi = _as_state(state)
     n = psi.shape[0]
@@ -148,10 +157,10 @@ def evolve(state, ts: TessellationSet, cfg: WalkConfig, graph: Graph | None = No
     for step in range(cfg.steps + 1):
         if step:
             for t in tessellations:
-                psi = local_unitary(psi, t, cfg)
+                psi = local_unitary(psi.view(_Checked), t, cfg)
         if on_step is not None:
             on_step(step, psi)
-    return psi
+    return _as_state(psi)
 
 
 def probability_distribution(state) -> np.ndarray:

@@ -92,6 +92,16 @@ class TestDistributionCsv:
     def test_single_node_single_step(self):
         assert distribution_csv([np.array([1.0])]) == "step,node,probability\n0,0,1\n"
 
+    @pytest.mark.parametrize("nodes", [0, 1, 9, 10, 11, 2001])
+    def test_template_equals_per_node_join(self, nodes):
+        # every row of a step with no zero comes from the value template, and every row of an all-zero step from
+        # the zero body; both must match the template written out one node at a time
+        template = "".join(f"\t{node},%.17g\n" for node in range(nodes))
+        rows = distribution_rows(nodes)
+        values = np.arange(1.0, nodes + 1.0)
+        assert "".join(rows(1, values)) == template.replace("\t", "1,") % tuple(values.tolist())
+        assert "".join(rows(2, np.zeros(nodes))) == template.replace(",%.17g\n", ",0\n").replace("\t", "2,")
+
 
 class TestDumps17g:
     def test_float_free_payload_matches_json_dumps(self):

@@ -320,6 +320,65 @@ class TestStepObserver:
             evolve(psi, (ts[0], bad, ts[0], bad), WalkConfig(0.5, 1), graph=g)
 
 
+class TestStateCheckedOncePerRun:
+    """evolve checks the state on entry and on exit; the kernel calls in between do not sum |psi|^2 again."""
+
+    def test_norm_summed_at_most_twice(self, monkeypatch):
+        g, ts = generate_lattice_tessellations((6, 6))
+        sums = []
+        vdot = walk.np.vdot
+        monkeypatch.setattr(walk.np, "vdot", lambda a, b: sums.append(1) or vdot(a, b))
+        cfg = WalkConfig(0.5, 50)
+        out = evolve(initial_basis_state(36, 14), ts, cfg, graph=g)
+        monkeypatch.undo()
+        assert len(sums) <= 2  # one sum per kernel call would make 1 + 4 * 50
+        expected = initial_basis_state(36, 14)
+        for _ in range(cfg.steps):
+            for t in ts:
+                expected = reference_local_unitary(expected, t, cfg)
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("at_step", [0, 1, 7, 8])
+    @pytest.mark.parametrize("with_graph", [True, False])
+    def test_observer_that_scales_the_state_is_caught(self, at_step, with_graph):
+        g, ts = generate_lattice_tessellations((4, 3))
+
+        def scale(step, psi):
+            if step == at_step:
+                psi *= 2
+
+        graph = {"graph": g} if with_graph else {}
+        with pytest.raises(ValidationError, match="not normalized"):
+            evolve(initial_basis_state(12, 5), ts, WalkConfig(0.7, 8), on_step=scale, **graph)
+
+    @pytest.mark.parametrize("steps", [0, 1, 5])
+    def test_result_and_observed_states_are_plain_arrays(self, steps):
+        g, ts = generate_lattice_tessellations((4, 3))
+        seen = []
+        psi = initial_basis_state(12, 5)
+        out = evolve(psi, ts, WalkConfig(0.7, steps), graph=g, on_step=lambda _, s: seen.append(s))
+        assert len(seen) == steps + 1
+        assert all(type(s) is np.ndarray for s in seen) and type(out) is np.ndarray
+
+    class _Subclass(np.ndarray):
+        pass
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            np.full(12, 0.5),
+            np.full(12, 0.5).view(_Subclass),
+            np.full(12, math.nan),
+            [1.0] + [0.0] * 10 + [1.0],
+        ],
+        ids=["scaled", "ndarray-subclass", "nan", "list"],
+    )
+    def test_local_unitary_still_checks_its_input(self, state):
+        _, ts = generate_lattice_tessellations((4, 3))
+        with pytest.raises(ValidationError, match="not normalized"):
+            local_unitary(state, ts[0], WalkConfig(0.7))
+
+
 class TestStateHelpers:
     def test_initial_basis_state_middle(self):
         psi = initial_basis_state(133, 66)
