@@ -6,12 +6,17 @@ import json
 
 import numpy as np
 
-__all__ = ["fmt17", "dumps_17g", "distribution_rows"]
+__all__ = ["fmt17", "json_float", "dumps_17g", "distribution_rows"]
 
 
 def fmt17(x: float) -> str:
     """Render a float at 17 significant digits (lossless round-trip)."""
     return format(float(x), ".17g")
+
+
+def json_float(x: float) -> str:
+    """:func:`fmt17` as a JSON number, but ``-0.0`` for negative zero: ``-0`` would load as the integer 0."""
+    return "-0.0" if repr(float(x)) == "-0.0" else fmt17(x)
 
 
 def _digits_before(k: int) -> int:
@@ -59,7 +64,8 @@ def dumps_17g(payload: dict) -> str:
     """A non-empty flat dict laid out as ``json.dumps(payload, indent=2)``, floats at 17 significant digits.
 
     The stock encoder hard-codes repr() for floats, so each entry is written
-    here: floats by :func:`fmt17`, keys and all other values by ``json.dumps``.
+    here: floats by :func:`json_float`, keys and all other values by ``json.dumps``.
     """
-    entries = (f"  {json.dumps(k)}: {fmt17(v) if isinstance(v, float) else json.dumps(v)}" for k, v in payload.items())
+    items = payload.items()
+    entries = (f"  {json.dumps(k)}: {json_float(v) if isinstance(v, float) else json.dumps(v)}" for k, v in items)
     return "{\n" + ",\n".join(entries) + "\n}"

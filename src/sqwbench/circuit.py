@@ -119,14 +119,13 @@ class ChiPair:
 class ModeSolution:
     """One resonator mode: dimensionless wave number kL, frequency, and midpoint amplitude.
 
-    ``omega`` is kL / (L * sqrt(l*c)) in rad/s when circuit parameters
-    were supplied to the solver, else None.
+    ``omega`` is kL / (L * sqrt(l*c)) in rad/s.
     """
 
     kl: float
     amplitude: float
     mode_index: int
-    omega: float | None = None
+    omega: float
 
 
 @dataclass(frozen=True)
@@ -247,14 +246,15 @@ def solve_mode(
     chi_c: float,
     chi_l_left: float,
     chi_l_right: float,
-    mode_index: int = 1,
-    params: CircuitParams | None = None,
+    mode_index: int,
+    params: CircuitParams,
 ) -> ModeSolution:
     """The mode_index-th positive root of the transcendental mode equation.
 
     ``chi_l_left`` and ``chi_l_right`` are the inverse-inductance ratios
     of the two SQUIDs flanking the resonator; only their sum enters.
-    Roots are enumerated branch by branch in increasing order.
+    Roots are enumerated branch by branch in increasing order; ``params``
+    turns the root kL into the mode frequency ``omega``.
     """
     for name, value in (("chi_c", chi_c), ("chi_l_left", chi_l_left), ("chi_l_right", chi_l_right)):
         if not math.isfinite(value):
@@ -270,7 +270,7 @@ def solve_mode(
             roots.append(root)
         branch += 1
     kl = roots[mode_index - 1]
-    omega = kl * params.wave_speed() / params.half_length if params is not None else None
+    omega = kl * params.wave_speed() / params.half_length
     return ModeSolution(kl=kl, amplitude=normalization_amplitude(kl, chi_c), mode_index=mode_index, omega=omega)
 
 
@@ -295,8 +295,6 @@ def normalization_amplitude(kl: float, chi_c: float) -> float:
 
 def couplings(mode_n: ModeSolution, mode_m: ModeSolution, chi_c: float, chi_l_link: float) -> CouplingResult:
     """Capacitive and inductive couplings of the link joining two solved modes."""
-    if mode_n.omega is None or mode_m.omega is None:
-        raise ValidationError("modes need absolute frequencies; solve them with circuit parameters")
     shared = mode_n.amplitude * mode_m.amplitude * math.sqrt(mode_n.omega * mode_m.omega)
     kappa_cap = 2.0 * chi_c * shared
     kappa_ind = chi_l_link / (2.0 * mode_n.kl * mode_m.kl) * shared

@@ -228,6 +228,12 @@ class Tessellation:
                 self._partner[self.singletons] = self.singletons
         return self._partner is not False and self._partner.size == n
 
+    def _swaps(self, n: int) -> np.ndarray:
+        """The cached permutation of :meth:`partitions`; raises unless the elements partition range(n)."""
+        if not self.partitions(n):
+            raise ValidationError(f"pairs and singletons must partition the node range [0, {n})")
+        return self._partner
+
     def __eq__(self, other):
         if not isinstance(other, Tessellation):
             return NotImplemented

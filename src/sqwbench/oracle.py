@@ -24,8 +24,7 @@ def dense_hamiltonian(t: Tessellation) -> np.ndarray:
     n = 2 * len(t.pairs) + len(t.singletons)
     if n > MAX_DENSE_DIMENSION:
         raise ValidationError(f"dense oracle limited to dimension {MAX_DENSE_DIMENSION}, got {n}")
-    if not t.partitions(n):
-        raise ValidationError(f"pairs and singletons must partition the node range [0, {n})")
+    t._swaps(n)  # raises unless the elements partition range(n); the matrix is built from the pairs, not from it
     m = -np.eye(n)
     for i, j in t.pairs.tolist():
         m[i, i] += 1.0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._format import fmt17
+from ._format import json_float
 from .circuit import CircuitParams, OperatingPoint, pulse_duration, solve_operating_point
 from .errors import ValidationError, _int_pairs, _is_index, _is_number, _load_json
 from .graph import _MAX_INDEX, Graph, Tessellation, TessellationSet, _canonical_pairs, validate_tessellation_set
@@ -197,6 +197,19 @@ def _infinite(key: str, value) -> str | None:
     return None if abs(value) <= sys.float_info.max else f"{key} must be finite, got {value!r}"
 
 
+def _check_header(tau, flux_on, flux_off, steps) -> None:
+    """Raise the first fault of a header that ``parse_schedule`` would reject; ``emit_schedule`` writes no other."""
+    if not _is_number(tau) or not tau > 0:
+        raise ValidationError(f"tau_s must be a positive number, got {tau!r}")
+    for key, value in zip(_HEADER, (tau, flux_on, flux_off)):
+        if not _is_number(value):
+            raise ValidationError(f"{key} must be a number, got {value!r}")
+        if fault := _infinite(key, value):
+            raise ValidationError(fault)
+    if not _is_index(steps) or steps < 0:
+        raise ValidationError(f"steps must be a non-negative integer, got {steps!r}")
+
+
 _LAYOUT = (
     '{\n  "version": %d,\n  "tau_s": %s,\n  "flux_on": %s,\n  "flux_off": %s,\n  "steps": %d,\n'
     '  "patterns": %s,\n  "intervals": %s\n}\n'
@@ -210,10 +223,10 @@ def emit_schedule(s: PulseSchedule) -> str:
     Keys one per line, as ``json.dumps(payload, indent=2)`` places them, floats at 17 significant digits.
     Each distinct ``on_pairs`` array, keyed by ``id`` and then by its bytes, is one ``[[%d, %d], ...]`` line of the
     ``"patterns"`` table in first-use order; ``"intervals"`` is one line of ``[idx, pattern]`` entries.
+    A header that :func:`parse_schedule` would reject raises its message instead.
     """
     header = s.tau_seconds, s.flux_on_ratio, s.flux_off_ratio
-    if fault := next(filter(None, map(_infinite, _HEADER, header)), None):
-        raise ValidationError(fault)  # the file would hold inf or nan, which parse_schedule rejects
+    _check_header(*header, s.repetitions)
     numbers = {}  # id(on_pairs) -> pattern number; s keeps each array alive, so no id is reused
     table = {}  # on_pairs bytes -> (pattern number, array), so equal arrays that are not shared make one pattern
     entries = []
@@ -224,9 +237,7 @@ def emit_schedule(s: PulseSchedule) -> str:
         entries.append((iv.index, p))
     lines = ("    [" + ("[%d, %d], " * len(on))[:-2] % tuple(on.ravel().tolist()) + "]" for _, on in table.values())
     patterns = "[\n" + ",\n".join(lines) + "\n  ]" if table else "[]"
-    # "-0" would load as the integer 0, so -0.0 is written as a float
-    floats = ["-0.0" if repr(float(v)) == "-0.0" else fmt17(v) for v in header]
-    return _LAYOUT % (SCHEDULE_SCHEMA_VERSION, *floats, s.repetitions, patterns, _dumps(entries))
+    return _LAYOUT % (SCHEDULE_SCHEMA_VERSION, *map(json_float, header), s.repetitions, patterns, _dumps(entries))
 
 
 def parse_schedule(text: str) -> PulseSchedule:
@@ -244,23 +255,13 @@ def parse_schedule(text: str) -> PulseSchedule:
             raise ValidationError(f'schedule JSON is missing key "{key}"')
     if obj["version"] not in (1, 2):
         raise ValidationError(f"unsupported schedule schema version {obj['version']!r}")
-    tau = obj["tau_s"]
-    if not _is_number(tau) or not tau > 0:
-        raise ValidationError(f"tau_s must be a positive number, got {tau!r}")
-    for key in _HEADER:
-        if not _is_number(obj[key]):
-            raise ValidationError(f"{key} must be a number, got {obj[key]!r}")
-        if fault := _infinite(key, obj[key]):
-            raise ValidationError(fault)
-    steps = obj["steps"]
-    if not _is_index(steps) or steps < 0:
-        raise ValidationError(f"steps must be a non-negative integer, got {steps!r}")
+    _check_header(*(obj[key] for key in (*_HEADER, "steps")))
     if not isinstance(obj["intervals"], list):
         raise ValidationError("intervals must be a list")
     floats = [float(obj[key]) for key in _HEADER]
     patterns: dict[tuple, np.ndarray] = {}  # endpoint tuple -> its pairs array
     if obj["version"] == 2:
-        return PulseSchedule(*floats, steps, _v2_intervals(obj["patterns"], obj["intervals"], patterns))
+        return PulseSchedule(*floats, obj["steps"], _v2_intervals(obj["patterns"], obj["intervals"], patterns))
     intervals = []
     for raw in obj["intervals"]:
         if not isinstance(raw, dict) or "idx" not in raw or "on" not in raw:
@@ -270,7 +271,7 @@ def parse_schedule(text: str) -> PulseSchedule:
         if not isinstance(raw["on"], list):
             raise ValidationError(f"interval {raw['idx']}: on must be a list of pairs")
         intervals.append(PulseInterval(raw["idx"], _pattern(f"interval {raw['idx']}", raw["on"], patterns)))
-    return PulseSchedule(*floats, steps, intervals)
+    return PulseSchedule(*floats, obj["steps"], intervals)
 
 
 def _v2_intervals(table, entries: list, patterns: dict) -> list[PulseInterval]:

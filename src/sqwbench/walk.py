@@ -76,12 +76,6 @@ def hamiltonian_from_tessellation(g: Graph, t: Tessellation) -> Tessellation:
     return t
 
 
-def _require_partition(t: Tessellation, n: int) -> Tessellation:
-    if not t.partitions(n):
-        raise ValidationError(f"pairs and singletons must partition the node range [0, {n})")
-    return t
-
-
 def initial_basis_state(n: int, node: int) -> np.ndarray:
     """Single photon localized in one resonator: amplitude 1 at ``node``."""
     if not _is_index(n) or n < 0:
@@ -120,10 +114,10 @@ def local_unitary(state, t: Tessellation, cfg: WalkConfig) -> np.ndarray:
     exp(i*theta) under the abstract convention and 1 under the physical one.
     """
     psi = _as_state(state)
-    _require_partition(t, psi.shape[0])
+    partner = t._swaps(psi.shape[0])
     c = math.cos(cfg.theta)
     s = math.sin(cfg.theta)
-    out = psi[t._partner]  # i*s*H psi + c*psi in the gathered array, each product's operands in that order
+    out = psi[partner]  # i*s*H psi + c*psi in the gathered array, each product's operands in that order
     np.multiply(1j * s, out, out=out)
     out += c * psi
     # H fixes singletons, so the formula gave them c*psi + i*s*psi; restore them, and for the
@@ -134,26 +128,21 @@ def local_unitary(state, t: Tessellation, cfg: WalkConfig) -> np.ndarray:
     return out
 
 
-def evolve(state, ts: TessellationSet, cfg: WalkConfig, graph: Graph | None = None, on_step=None) -> np.ndarray:
+def evolve(state, ts: TessellationSet, cfg: WalkConfig, graph: Graph, on_step=None) -> np.ndarray:
     """Apply one local unitary per tessellation, in order, ``cfg.steps`` times; return the final state.
 
-    With a graph, each distinct tessellation object is validated against
-    it once, first; without one, only the partition structure is checked.
+    Each distinct tessellation object is validated against ``graph`` once, first.
     The state is checked on entry and on exit, not on each kernel call: every step is unitary.
     ``on_step(l, psi)`` is called with the state after l full steps, l = 0 (the input array
     itself) to ``cfg.steps``; it must not modify ``psi`` (one that does is caught on exit at
     the latest), and must copy it to keep it.
     """
     psi = _as_state(state)
-    n = psi.shape[0]
-    if graph is not None and graph.node_count != n:
-        raise ValidationError(f"graph has {graph.node_count} nodes but state has dimension {n}")
+    if graph.node_count != psi.shape[0]:
+        raise ValidationError(f"graph has {graph.node_count} nodes but state has dimension {psi.shape[0]}")
     tessellations = list(ts)
     for t in {id(t): t for t in tessellations}.values():  # each distinct object once, in first-use order
-        if graph is not None:
-            hamiltonian_from_tessellation(graph, t)
-        else:
-            _require_partition(t, n)
+        hamiltonian_from_tessellation(graph, t)
     for step in range(cfg.steps + 1):
         if step:
             for t in tessellations:

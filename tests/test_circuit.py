@@ -81,55 +81,54 @@ class TestChiFromParams:
 
 class TestSolveMode:
     def test_both_couplers_on(self):
-        mode = solve_mode(CHI_C, -CHI_L_MAX, -CHI_L_MAX, 1)
+        mode = solve_mode(CHI_C, -CHI_L_MAX, -CHI_L_MAX, 1, DEFAULT_PARAMS)
         assert mode.kl == pytest.approx(3.0351, abs=5e-4)
 
     def test_one_on_one_off(self):
-        mode = solve_mode(CHI_C, -CHI_L_MAX, 0.0191, 1)
+        mode = solve_mode(CHI_C, -CHI_L_MAX, 0.0191, 1, DEFAULT_PARAMS)
         assert mode.kl == pytest.approx(3.089, abs=1e-3)
 
     def test_bare_resonator_first_mode_is_pi(self):
-        mode = solve_mode(0.0, 0.0, 0.0, 1)
+        mode = solve_mode(0.0, 0.0, 0.0, 1, DEFAULT_PARAMS)
         assert mode.kl == pytest.approx(math.pi, abs=1e-12)
 
     def test_residuals_below_tolerance(self):
         for chi_c in (0.0, 2e-4, 1e-3, 5e-3):
             for chi_l in (-0.3, -0.05, 0.0, 0.02, 0.3):
                 for idx in (1, 2, 3):
-                    mode = solve_mode(chi_c, chi_l, chi_l, idx)
+                    mode = solve_mode(chi_c, chi_l, chi_l, idx, DEFAULT_PARAMS)
                     assert abs(mode_residual(mode.kl, chi_c, 2 * chi_l)) < 1e-10
 
     def test_roots_strictly_increase_with_mode_index(self):
         for chi_l in (-0.3, 0.0, 0.25):
-            kls = [solve_mode(CHI_C, chi_l, chi_l, m).kl for m in range(1, 6)]
+            kls = [solve_mode(CHI_C, chi_l, chi_l, m, DEFAULT_PARAMS).kl for m in range(1, 6)]
             assert all(a < b for a, b in zip(kls, kls[1:]))
 
     def test_positive_chi_sum_adds_low_branch_root(self):
-        mode1 = solve_mode(CHI_C, 0.3, 0.3, 1)
+        mode1 = solve_mode(CHI_C, 0.3, 0.3, 1, DEFAULT_PARAMS)
         assert 0.0 < mode1.kl < math.pi / 2
-        mode2 = solve_mode(CHI_C, 0.3, 0.3, 2)
+        mode2 = solve_mode(CHI_C, 0.3, 0.3, 2, DEFAULT_PARAMS)
         assert math.pi / 2 < mode2.kl < 1.5 * math.pi
 
     def test_omega_filled_from_params(self):
         mode = solve_mode(CHI_C, -CHI_L_MAX, -CHI_L_MAX, 1, DEFAULT_PARAMS)
         expected = mode.kl * DEFAULT_PARAMS.wave_speed() / DEFAULT_PARAMS.half_length
         assert mode.omega == pytest.approx(expected, rel=1e-15)
-        assert solve_mode(CHI_C, 0.0, 0.0, 1).omega is None
 
     def test_pathological_chi_reports_branch(self):
         with pytest.raises(NumericError, match="branch"):
-            solve_mode(0.0, -1e18, -1e18, 1)
+            solve_mode(0.0, -1e18, -1e18, 1, DEFAULT_PARAMS)
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValidationError):
-            solve_mode(float("nan"), 0.0, 0.0, 1)
+            solve_mode(float("nan"), 0.0, 0.0, 1, DEFAULT_PARAMS)
         with pytest.raises(ValidationError):
-            solve_mode(0.0, 0.0, 0.0, 0)
+            solve_mode(0.0, 0.0, 0.0, 0, DEFAULT_PARAMS)
 
 
 class TestNormalizationAmplitude:
     def test_quoted_midpoint_amplitude(self):
-        mode = solve_mode(CHI_C, -CHI_L_MAX, -CHI_L_MAX, 1)
+        mode = solve_mode(CHI_C, -CHI_L_MAX, -CHI_L_MAX, 1, DEFAULT_PARAMS)
         a = normalization_amplitude(mode.kl, CHI_C)
         assert 1.005 <= a <= 1.015
         assert a == pytest.approx(quadrature_amplitude(mode.kl, CHI_C), abs=1e-8)
@@ -142,13 +141,13 @@ class TestNormalizationAmplitude:
     def test_matches_quadrature_on_grid(self):
         for chi_c in (0.0, 2e-4, 1e-3, 4e-3):
             for chi_l in (-0.3, -0.1, 0.0, 0.15):
-                kl = solve_mode(chi_c, chi_l, chi_l, 1).kl
+                kl = solve_mode(chi_c, chi_l, chi_l, 1, DEFAULT_PARAMS).kl
                 assert normalization_amplitude(kl, chi_c) == pytest.approx(
                     quadrature_amplitude(kl, chi_c), abs=1e-8
                 )
 
     def test_amplitude_decreases_with_chi_c(self):
-        kl = solve_mode(CHI_C, -CHI_L_MAX, -CHI_L_MAX, 1).kl
+        kl = solve_mode(CHI_C, -CHI_L_MAX, -CHI_L_MAX, 1, DEFAULT_PARAMS).kl
         values = [normalization_amplitude(kl, chi_c) for chi_c in (2e-4, 4e-4, 8e-4, 1.6e-3)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -189,15 +188,10 @@ class TestCouplings:
             base.kappa_ind / base_mode.omega, abs=1e-12
         )
 
-    def test_requires_absolute_frequencies(self):
-        mode = solve_mode(CHI_C, -CHI_L_MAX, -CHI_L_MAX, 1)
-        with pytest.raises(ValidationError):
-            couplings(mode, mode, CHI_C, -CHI_L_MAX)
-
 
 class TestSolveFluxOff:
     def test_quoted_off_flux(self):
-        mode = solve_mode(CHI_C, -CHI_L_MAX, 0.0191, 1)
+        mode = solve_mode(CHI_C, -CHI_L_MAX, 0.0191, 1, DEFAULT_PARAMS)
         assert solve_flux_off(CHI_C, mode.kl, CHI_L_MAX) == pytest.approx(0.4801, abs=5e-4)
 
     def test_zero_chi_c_means_half_flux(self):

@@ -84,6 +84,12 @@ class TestThetaParsing:
         for name in ("distribution.csv", "run.json"):
             assert (tmp_path / "sep" / name).read_bytes() == (tmp_path / "eq" / name).read_bytes()
 
+    @pytest.mark.parametrize("form", [["--theta=-0"], ["--theta", "-0"], ["--theta=-0.0"]])
+    def test_negative_zero_angle_keeps_its_sign_in_run_json(self, tmp_path, form):
+        assert main(["walk", "--path", "3", *form, "--out", str(tmp_path)]) == 0
+        theta = json.loads((tmp_path / "run.json").read_text())["theta"]
+        assert type(theta) is float and math.copysign(1.0, theta) == -1.0
+
     def test_negative_angle_for_circuit_and_schedule(self, tmp_path, capsys):
         assert main(["circuit", "--theta", "-pi/3", "--out", str(tmp_path / "c")]) == 0
         assert "at theta = -1.0472 " in capsys.readouterr().out

@@ -115,6 +115,11 @@ class TestDumps17g:
             '  "tiny": 4.9406564584124654e-324,\n  "n": 3\n}'
         )
 
+    def test_negative_zero_reads_back_as_a_negative_float(self):
+        assert dumps_17g({"theta": -0.0, "zero": 0.0}) == '{\n  "theta": -0.0,\n  "zero": 0\n}'
+        theta = json.loads(dumps_17g({"theta": -0.0}))["theta"]
+        assert type(theta) is float and math.copysign(1.0, theta) == -1.0
+
     @settings(max_examples=200, deadline=None)
     @given(st.dictionaries(st.text(), st.none() | st.booleans() | st.integers() | st.text() | finite, min_size=1))
     def test_round_trip(self, payload):

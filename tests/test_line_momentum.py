@@ -72,11 +72,11 @@ def test_basis_start_matches_k_space(nodes, steps, start, theta):
 
 def test_million_node_path_matches_k_space():
     nodes, steps, theta = 10**6 + 1, 3, math.pi / 3
-    _, ts = generate_path_tessellations(nodes)
+    g, ts = generate_path_tessellations(nodes)
     # one start in the middle, one near the low end, each of both parities
     psi0 = np.zeros(nodes, dtype=complex)
     psi0[[7, 8, 500_000, 500_001]] = 0.5
-    got = evolve(psi0, ts, WalkConfig(theta=theta, steps=steps))
+    got = evolve(psi0, ts, WalkConfig(theta=theta, steps=steps), graph=g)
     assert np.max(np.abs(got - k_space_line_walk(psi0, theta, steps))) <= TOL
 
 

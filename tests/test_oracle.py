@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,15 @@ class TestDenseHamiltonian:
             h = Tessellation(elements)
             m = dense_hamiltonian(h)
             assert np.max(np.abs(m @ m - np.eye(n))) < 1e-13
+
+    @pytest.mark.parametrize(
+        "elements,n",
+        [(((0, 1), (1, 2), (3,)), 5), (((0, 1), (3,)), 3), (((0, 1), (2,), (4,)), 4)],
+        ids=["node in two pairs", "gap", "node out of range"],
+    )
+    def test_non_partition_rejected(self, elements, n):
+        with pytest.raises(ValidationError, match=re.escape(f"must partition the node range [0, {n})")):
+            dense_hamiltonian(Tessellation(elements))
 
     def test_oversize_rejected(self):
         pairs = tuple((2 * k, 2 * k + 1) for k in range(150))

@@ -1,3 +1,4 @@
+import inspect
 import types
 
 import pytest
@@ -31,3 +32,30 @@ def test_exports_are_exactly_the_module_alls():
     assert exported == {n for m in modules for n in m.__all__}
     for m in modules:
         assert all(getattr(sqwbench, n) is getattr(m, n) for n in m.__all__)
+
+
+# every optional parameter of an exported callable, as "name.parameter"; adding one is a reviewed edit of this list
+OPTIONAL_PARAMETERS = [
+    "CircuitParams.flux_quantum",
+    "Graph.edges",
+    "UnreachableFluxError.required_energy_scale",
+    "WalkConfig.convention",
+    "WalkConfig.steps",
+    "evolve.on_step",
+    "graph_to_json.ts",
+    "simulate_compiled.convention",
+]
+
+
+def test_optional_parameters_are_the_listed_ones():
+    found = []
+    for name in sorted(set(dir(sqwbench)) - {"TessellationSet"}):  # TessellationSet is the builtin tuple
+        value = getattr(sqwbench, name)
+        if name.startswith("_") or isinstance(value, types.ModuleType) or not callable(value):
+            continue
+        try:
+            parameters = inspect.signature(value).parameters.values()
+        except ValueError:  # an exception type that keeps the builtin constructor
+            continue
+        found += [f"{name}.{p.name}" for p in parameters if p.default is not inspect.Parameter.empty]
+    assert sorted(found) == OPTIONAL_PARAMETERS

@@ -643,13 +643,31 @@ class TestHeaderFloats:
         ids=["tau_s-inf", "flux_on-minus-inf", "flux_off-nan", "flux_on-10**400"],
     )
     def test_non_finite_is_rejected_with_the_parse_message(self, key, value):
-        fields = {"tau_s": 1e-6, "flux_on": 1.0, "flux_off": 0.48, key: value}
-        s = PulseSchedule(fields["tau_s"], fields["flux_on"], fields["flux_off"], 1, (PulseInterval(0, ((0, 1),)),))
-        with pytest.raises(ValidationError) as parsed:
-            parse_schedule(json.dumps({**HEADER_V2, key: value}))
+        assert self.messages(key, value) == [f"{key} must be finite, got {value!r}"] * 2
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("tau_s", 0.0, "tau_s must be a positive number, got 0.0"),
+            ("tau_s", -1.0, "tau_s must be a positive number, got -1.0"),
+            ("tau_s", -0.0, "tau_s must be a positive number, got -0.0"),
+            ("steps", -1, "steps must be a non-negative integer, got -1"),
+        ],
+        ids=["tau_s-zero", "tau_s-negative", "tau_s-minus-zero", "steps-negative"],
+    )
+    def test_unparsable_header_is_rejected_with_the_parse_message(self, key, value, message):
+        assert self.messages(key, value) == [message] * 2
+
+    @staticmethod
+    def messages(key, value):
+        """The messages of emitting a schedule whose header has ``key`` set to ``value``, and of parsing one."""
+        fields = {"tau_s": 1e-6, "flux_on": 1.0, "flux_off": 0.48, "steps": 1, key: value}
+        s = PulseSchedule(*fields.values(), (PulseInterval(0, ((0, 1),)),))
         with pytest.raises(ValidationError) as emitted:
             emit_schedule(s)
-        assert str(emitted.value) == str(parsed.value) == f"{key} must be finite, got {value!r}"
+        with pytest.raises(ValidationError) as parsed:
+            parse_schedule(json.dumps({**HEADER_V2, key: value}))
+        return [str(emitted.value), str(parsed.value)]
 
     @pytest.mark.parametrize(
         "header", [(1e308, 1.0, 0.48), (5e-324, 1.0, 0.48), (1e-6, -0.0, 0.48), (1e-6, 1.0, -0.0), (1e-6, 0.0, 1e-300)]

@@ -263,16 +263,14 @@ class TestStepObserver:
         final = evolve(psi, ts, cfg, on_step=lambda step, s: calls.append((step, s.copy())), **kwargs)
         return final, calls
 
-    @pytest.mark.parametrize("with_graph", [True, False])
-    def test_one_call_per_step_matching_history(self, with_graph):
+    def test_one_call_per_step_matching_history(self):
         g, ts = generate_lattice_tessellations((4, 3))
         psi = initial_basis_state(g.node_count, 5)
         cfg = WalkConfig(0.7, 4, CONVENTION_ABSTRACT)
-        graph = {"graph": g} if with_graph else {}
-        final, calls = self.observed(psi, ts, cfg, **graph)
+        final, calls = self.observed(psi, ts, cfg, graph=g)
         assert [step for step, _ in calls] == list(range(cfg.steps + 1))
         for step, s in calls:  # each observed state is, bit for bit, a run of that many steps
-            assert np.array_equal(s, evolve(psi, ts, WalkConfig(cfg.theta, step, cfg.convention), **graph))
+            assert np.array_equal(s, evolve(psi, ts, WalkConfig(cfg.theta, step, cfg.convention), graph=g))
         assert np.array_equal(calls[-1][1], final)
 
     def test_zero_steps_is_one_call(self):
@@ -339,17 +337,15 @@ class TestStateCheckedOncePerRun:
         assert np.array_equal(out, expected)
 
     @pytest.mark.parametrize("at_step", [0, 1, 7, 8])
-    @pytest.mark.parametrize("with_graph", [True, False])
-    def test_observer_that_scales_the_state_is_caught(self, at_step, with_graph):
+    def test_observer_that_scales_the_state_is_caught(self, at_step):
         g, ts = generate_lattice_tessellations((4, 3))
 
         def scale(step, psi):
             if step == at_step:
                 psi *= 2
 
-        graph = {"graph": g} if with_graph else {}
         with pytest.raises(ValidationError, match="not normalized"):
-            evolve(initial_basis_state(12, 5), ts, WalkConfig(0.7, 8), on_step=scale, **graph)
+            evolve(initial_basis_state(12, 5), ts, WalkConfig(0.7, 8), graph=g, on_step=scale)
 
     @pytest.mark.parametrize("steps", [0, 1, 5])
     def test_result_and_observed_states_are_plain_arrays(self, steps):
@@ -526,10 +522,11 @@ class TestPartitionGuarantee:
             local_unitary(initial_basis_state(4, 0), kernel_operand(elements, 4), WalkConfig(0.3))
 
     @pytest.mark.parametrize("elements", NON_PARTITIONS_OF_4.values(), ids=NON_PARTITIONS_OF_4.keys())
-    def test_graph_free_evolve_rejects_non_partition(self, elements):
+    def test_evolve_rejects_non_partition(self, elements):
+        g, _ = generate_path_tessellations(4)
         ts = TessellationSet((Tessellation(((0, 1), (2, 3))), Tessellation(elements)))
-        with pytest.raises(ValidationError):
-            evolve(initial_basis_state(4, 0), ts, WalkConfig(0.3, 1))
+        with pytest.raises(ValidationError, match="invalid tessellation"):
+            evolve(initial_basis_state(4, 0), ts, WalkConfig(0.3, 1), graph=g)
 
 
 def reference_local_unitary(state, t, cfg):
