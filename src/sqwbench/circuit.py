@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NumericError, UnreachableFluxError, ValidationError, _is_number
+from .errors import NumericError, UnreachableFluxError, ValidationError, _is_index, _is_number
 
 __all__ = [
     "CircuitParams",
@@ -259,8 +259,8 @@ def solve_mode(
     for name, value in (("chi_c", chi_c), ("chi_l_left", chi_l_left), ("chi_l_right", chi_l_right)):
         if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value!r}")
-    if mode_index < 1:
-        raise ValidationError(f"mode_index must be >= 1, got {mode_index}")
+    if not _is_index(mode_index) or mode_index < 1:
+        raise ValidationError(f"mode_index must be an integer >= 1, got {mode_index!r}")
     chi_sum = chi_l_left + chi_l_right
     roots: list[float] = []
     branch = 0

@@ -412,11 +412,13 @@ def greedy_tessellate(g: Graph) -> TessellationSet:
     tessellations = []
     while uncovered.size:
         degree = np.bincount(uncovered.ravel())
+        b = int(degree.max()) + 1
+        # by higher then lower endpoint degree, both descending, as one key below b*b in the narrowest type that
+        # holds b*b: numpy's stable sort radix-sorts keys of 16 bits or fewer; rows tie in their sorted order
+        degree = degree.astype(np.min_scalar_type(b * b))
         lo_degree, hi_degree = degree[uncovered[:, 0]], degree[uncovered[:, 1]]
-        # by higher then lower endpoint degree, both descending; a stable sort of the sorted rows breaks ties by row
-        order = np.argsort(
-            -(np.maximum(lo_degree, hi_degree) * degree.size + np.minimum(lo_degree, hi_degree)), kind="stable"
-        )
+        key = np.maximum(lo_degree, hi_degree) * b + np.minimum(lo_degree, hi_degree)
+        order = np.argsort(b * b - 1 - key, kind="stable")
         matched = _greedy_matching(uncovered, order)
         tessellations.append(Tessellation._from_pairs(endpoints[uncovered.compress(matched, axis=0)], g.node_count))
         uncovered = uncovered.compress(~matched, axis=0)
@@ -445,18 +447,16 @@ def _greedy_matching(pairs: np.ndarray, order: np.ndarray) -> np.ndarray:
     live rows, as it does on a path, the scan itself finishes them in order.
     """
     matched = np.zeros(len(pairs), dtype=bool)
-    used = np.zeros(int(pairs.max()) + 1, dtype=bool)
+    used = np.zeros(int(pairs.max(initial=-1)) + 1, dtype=bool)
+    first = np.empty(used.size, dtype=np.intp)  # each node's first scan position among the live rows
     live = order
     while live.size:
         ends = pairs.take(live, axis=0)
-        # entry 2k + s is node ends[k, s]; sorted (node, entry) keys head each node's run with its first live row
-        bits = (2 * live.size).bit_length()
-        key = np.sort(ends.ravel() << bits | np.arange(2 * live.size))
-        node = key >> bits
-        first = np.zeros(2 * live.size, dtype=bool)
-        first[key[np.r_[True, node[1:] != node[:-1]]] & ((1 << bits) - 1)] = True
-        kept = first[0::2] & first[1::2]
-        lo, hi = ends[:, 0], ends[:, 1]
+        lo, hi, position = ends[:, 0], ends[:, 1], np.arange(live.size)
+        first.fill(live.size)
+        np.minimum.at(first, lo, position)
+        np.minimum.at(first, hi, position)
+        kept = (first[lo] == position) & (first[hi] == position)
         matched[live[kept]] = True
         used[lo[kept]] = used[hi[kept]] = True
         rest = live[~(used[lo] | used[hi])]

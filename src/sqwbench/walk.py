@@ -99,7 +99,9 @@ def _as_state(state) -> np.ndarray:
     psi = np.asarray(state, dtype=complex)
     if psi.ndim != 1:
         raise ValidationError("state must be a one-dimensional amplitude vector")
-    norm_sq = float(np.vdot(psi, psi).real)
+    # summed over the float view by einsum's own loop: np.vdot hands large arrays to BLAS threads, which can stall
+    flat = np.ascontiguousarray(psi).view(np.float64)
+    norm_sq = float(np.einsum("i,i->", flat, flat))
     # inverted comparison so NaN amplitudes are rejected too
     if not abs(norm_sq - 1.0) <= _NORM_ATOL:
         raise ValidationError(f"state is not normalized: |psi|^2 = {norm_sq!r}")

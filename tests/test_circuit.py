@@ -125,6 +125,12 @@ class TestSolveMode:
         with pytest.raises(ValidationError):
             solve_mode(0.0, 0.0, 0.0, 0, DEFAULT_PARAMS)
 
+    @pytest.mark.parametrize("mode_index", [1.5, True, 0, -1])
+    def test_mode_index_must_be_a_positive_integer(self, mode_index):
+        # 1.5 used to fail as a list index with TypeError, and True was taken as mode 1
+        with pytest.raises(ValidationError, match=r"mode_index must be an integer >= 1, got "):
+            solve_mode(5e-4, -0.3, -0.3, mode_index, DEFAULT_PARAMS)
+
 
 class TestNormalizationAmplitude:
     def test_quoted_midpoint_amplitude(self):

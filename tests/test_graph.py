@@ -630,7 +630,8 @@ class TestGreedyMatchesReference:
         g = build_graph(n, [(i, (i + 1) % n) for i in range(n)])
         assert greedy_outcome(greedy_tessellate, g) == greedy_outcome(reference_greedy, g)
 
-    @pytest.mark.parametrize("leaves", [1, 2, 50])
+    # the first round's key bound b*b is 65,025 for 254 leaves and 65,536 for 255: 16-bit and 32-bit keys
+    @pytest.mark.parametrize("leaves", [1, 2, 50, 254, 255])
     def test_stars(self, leaves):
         g = build_graph(leaves + 1, [(leaves // 2, v) for v in range(leaves + 1) if v != leaves // 2])
         assert greedy_outcome(greedy_tessellate, g) == greedy_outcome(reference_greedy, g)
@@ -650,6 +651,43 @@ class TestGreedyMatchesReference:
             rng.shuffle(ids)
             g = build_graph(left + right, [(ids[i], ids[j]) for i, j in edges])
             assert greedy_outcome(greedy_tessellate, g) == greedy_outcome(reference_greedy, g)
+
+
+def reference_matching(pairs, order):
+    """The rows an in-order scan of ``pairs`` keeps, each one whose two nodes are still free."""
+    used, matched = set(), np.zeros(len(pairs), dtype=bool)
+    for k in order:
+        i, j = pairs[k]
+        if i not in used and j not in used:
+            matched[k] = True
+            used.update((i, j))
+    return matched
+
+
+class TestGreedyMatchingHelper:
+    # greedy_tessellate passes degree-sorted orders; the helper must equal the scan for any order
+
+    def test_random_bipartite_random_orders(self):
+        rng = random.Random(2026)
+        nprng = np.random.default_rng(2026)
+        for _ in range(300):
+            pairs = random_bipartite(rng, rng.randint(1, 30), rng.randint(1, 30)).edge_array
+            order = nprng.permutation(len(pairs))
+            assert np.array_equal(graph._greedy_matching(pairs, order), reference_matching(pairs.tolist(), order))
+
+    # in row order a pass keeps only the first row of a path or cycle, so the in-order scan finishes the round
+    @pytest.mark.parametrize("n", [3, 4, 17, 500])
+    @pytest.mark.parametrize("cycle", [False, True])
+    def test_paths_and_cycles(self, n, cycle):
+        pairs = np.array([(i, (i + 1) % n) for i in range(n if cycle else n - 1)])
+        rows = np.arange(len(pairs))
+        for order in (rows, rows[::-1], np.random.default_rng(n).permutation(rows)):
+            assert np.array_equal(graph._greedy_matching(pairs, order), reference_matching(pairs.tolist(), order))
+
+    def test_empty_order(self):
+        pairs = path_graph(5).edge_array
+        assert graph._greedy_matching(pairs, np.array([], dtype=np.intp)).tolist() == [False] * 4
+        assert graph._greedy_matching(np.empty((0, 2), dtype=np.intp), np.array([], dtype=np.intp)).size == 0
 
 
 class TestGraphJson:
