@@ -12,7 +12,10 @@ import math
 import re
 import sys
 import warnings
+from collections.abc import Sequence
 from pathlib import Path
+
+import numpy as np
 
 from ._format import distribution_rows, dumps_17g, fmt17
 from .circuit import (
@@ -140,18 +143,32 @@ def _ensure_writable(paths, force: bool) -> None:
             raise ValidationError(f"{path} already exists; pass --force to overwrite")
 
 
-def _guarded_write(path: Path, texts: list[str], force: bool) -> None:
-    """Write the concatenation of ``texts`` to ``path``, each text in ``_WRITE_SLICE`` slices, never joined."""
+def _guarded_write(path: Path, texts: Sequence[str], force: bool) -> None:
+    """Write the concatenation of ``texts`` to ``path``, each text in ``_WRITE_SLICE`` slices, never joined.
+
+    A text may be made as it is read, so reading one can fail midway; the partial file is then removed.
+    """
     _ensure_writable([path], force)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as f:
-        for text in texts:
-            for start in range(0, len(text), _WRITE_SLICE):
-                f.write(text[start : start + _WRITE_SLICE])
+    f = path.open("w")
+    try:
+        with f:
+            for text in texts:
+                for start in range(0, len(text), _WRITE_SLICE):
+                    f.write(text[start : start + _WRITE_SLICE])
+    except BaseException:
+        path.unlink()
+        raise
     print(f"wrote {path}")
 
 
 def cmd_walk(args) -> int:
+    """Evolve the start node's photon and write distribution.csv, run.json and, with --svg, distribution.svg.
+
+    The walk keeps each step's |psi|^2 as a copy of its live window only (see
+    :func:`~sqwbench._format.distribution_rows`), not as text; each step's rows are
+    formatted as ``_guarded_write`` reaches them, so no text of the whole file is held.
+    """
     g, ts, source = _resolve_graph(args)
     out = Path(args.out)
     targets = [out / "distribution.csv", out / "run.json"]
@@ -162,9 +179,9 @@ def cmd_walk(args) -> int:
     start = args.start if args.start is not None else (g.node_count - 1) // 2
     state = initial_basis_state(g.node_count, start)
     cfg = WalkConfig(theta=args.theta, steps=args.steps, convention=args.convention)
-    rows, parts = distribution_rows(g.node_count), []  # each step's rows are formatted as evolve reaches it
-    final = evolve(state, ts, cfg, graph=g, on_step=lambda k, psi: parts.extend(rows(k, probability_distribution(psi))))
-    _guarded_write(out / "distribution.csv", parts, args.force)  # not joined, so the peak is one CSV copy
+    rows = distribution_rows(g.node_count)
+    final = evolve(state, ts, cfg, graph=g, on_step=lambda k, psi: rows.keep(np.abs(psi) ** 2))  # checked on exit
+    _guarded_write(out / "distribution.csv", rows, args.force)  # each step's text is formatted as it is written
 
     metadata = {
         "n": g.node_count,

@@ -103,6 +103,69 @@ class TestDistributionCsv:
         assert "".join(rows(2, np.zeros(nodes))) == template.replace(",%.17g\n", ",0\n").replace("\t", "2,")
 
 
+def kept(distributions):
+    """The kept-step sequence of ``distributions``, as cli.cmd_walk hands it to the write."""
+    rows = distribution_rows(len(distributions[0]))
+    for dist in distributions:
+        rows.keep(dist)
+    return rows
+
+
+class TestKeptSteps:
+    @settings(max_examples=200, deadline=None)
+    @given(distribution_lists())
+    def test_join_equals_per_cell_join(self, distributions):
+        rows = kept(distributions)
+        assert len(rows) == len(distributions)
+        assert "".join(rows) == per_cell_csv(distributions)
+
+    @pytest.mark.parametrize("nodes", [0, 1, 2, 2001])
+    def test_zero_runs_minus_zero_nan_and_all_zero_steps(self, nodes):
+        rng = np.random.default_rng(nodes)
+        distributions = [np.zeros(nodes)]  # an all-zero step 0, whose text is the header and zero rows only
+        for value in (-0.0, math.nan, 0.25):
+            dist = rng.random(nodes) * (rng.random(nodes) < 0.5)  # +0.0 runs inside the window too
+            dist[nodes // 3 :: 7] = value
+            dist[: nodes // 4] = 0.0
+            distributions.append(dist)
+        distributions.append(np.zeros(nodes))
+        rows = kept(distributions)
+        assert len(rows) == 5
+        assert "".join(rows) == per_cell_csv(distributions)
+
+    def test_nothing_kept_is_an_empty_sequence(self):
+        rows = distribution_rows(3)
+        assert len(rows) == 0 and list(rows) == [] and len(rows[1:]) == 0
+
+    def test_slices_keep_their_step_numbers(self):
+        rng = np.random.default_rng(7)
+        distributions = [rng.random(12) for _ in range(5)]
+        rows, whole = kept(distributions), per_cell_csv(distributions)
+        for k in range(len(distributions) + 1):
+            head, tail = "".join(rows[:k]), "".join(rows[k:])
+            assert (len(rows[:k]), len(rows[k:])) == (k, len(distributions) - k)
+            assert head + tail == whole
+            assert ("step,node,probability" in tail) == (k == 0)
+            if 0 < k < len(distributions):
+                assert tail.startswith(f"{k},0,")
+        assert "".join(rows[1::2]) == "".join(rows[k] for k in (1, 3))
+
+    def test_reading_a_step_twice_gives_the_same_text(self):
+        rows = kept([np.array([0.0, 0.5, 0.5, 0.0]), np.array([0.25, 0.25, 0.25, 0.25])])
+        assert rows[1] == rows[1] == rows[-1] == "1,0,0.25\n1,1,0.25\n1,2,0.25\n1,3,0.25\n"
+        assert rows[0] == rows[0] == "step,node,probability\n0,0,0\n0,1,0.5\n0,2,0.5\n0,3,0\n"
+        with pytest.raises(IndexError):
+            rows[2]
+
+    def test_kept_window_is_a_copy(self):
+        dist = np.array([0.0, 0.5, 0.5, 0.0])
+        rows = distribution_rows(4)
+        rows.keep(dist)
+        before = rows[0]
+        dist[:] = [0.0, 0.125, 0.875, 0.0]
+        assert rows[0] == before == "step,node,probability\n0,0,0\n0,1,0.5\n0,2,0.5\n0,3,0\n"
+
+
 class TestDumps17g:
     def test_float_free_payload_matches_json_dumps(self):
         payload = {"n": 14, "steps": 0, "convention": "abstract", "source": 'file:é"x\n', "ok": True, "none": None}
