@@ -1,5 +1,6 @@
 """Exception types and input type rules shared across the package."""
 
+import gc
 import json
 from itertools import chain
 
@@ -46,10 +47,16 @@ def _int_pairs(entries) -> list[int] | None:
 
 
 def _load_json(text: str, what: str):
-    """``json.loads(text)``; each way it can fail is a one-line ValidationError that names ``what``."""
+    """``json.loads(text)`` with the cyclic collector paused; each way it can fail is a one-line ValidationError that
+    names ``what``.  A decoded JSON value holds no reference cycle, so a collection during decoding frees nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed {what} at byte offset {exc.pos}: {exc.msg}") from None
     except (ValueError, RecursionError) as exc:  # an integer past the int-string limit, or arrays nested too deep
         raise ValidationError(f"{what} cannot be decoded: {exc}") from None
+    finally:
+        if enabled:
+            gc.enable()

@@ -245,7 +245,8 @@ def parse_schedule(text: str) -> PulseSchedule:
 
     Rejects malformed JSON (naming the byte offset), unknown versions, missing or mistyped fields, non-positive
     interval length, an ``on`` list or pattern that is not int pairs, drives a node twice or holds a node outside
-    the intp range, and an interval naming no pattern.  Each distinct pattern is built once, as one shared array.
+    the intp range, and an interval naming no pattern.  Each pair list goes straight to an intp array, and the
+    intervals whose arrays hold the same bytes share the first one, checked once.
     """
     obj = _load_json(text, "schedule JSON")
     if not isinstance(obj, dict):
@@ -259,7 +260,7 @@ def parse_schedule(text: str) -> PulseSchedule:
     if not isinstance(obj["intervals"], list):
         raise ValidationError("intervals must be a list")
     floats = [float(obj[key]) for key in _HEADER]
-    patterns: dict[tuple, np.ndarray] = {}  # endpoint tuple -> its pairs array
+    patterns: dict[bytes, np.ndarray] = {}  # the bytes of a checked pairs array -> that array
     if obj["version"] == 2:
         return PulseSchedule(*floats, obj["steps"], _v2_intervals(obj["patterns"], obj["intervals"], patterns))
     intervals = []
@@ -293,13 +294,23 @@ def _v2_intervals(table, entries: list, patterns: dict) -> list[PulseInterval]:
 
 
 def _pattern(where: str, on: list, patterns: dict) -> np.ndarray:
-    """``on`` as int pairs, checked and built once per distinct list; keyed once typed, as true == 1 == 1.0."""
+    """``on`` as a read-only ``(p, 2)`` intp array, checked once per distinct pattern, which ``patterns`` maps from
+    its bytes; the pairs are walked only to word a fault, so the first bad pair in ``on`` is the one named."""
     flat = _int_pairs(on)
-    key = None if flat is None else tuple(flat)
-    if (pairs := patterns.get(key)) is None:
-        if flat is None or len(set(flat)) != len(flat):
-            _raise_first_bad_pair(where, on)
-        pairs = patterns[key] = _pair_array(where, on, flat)
+    if flat is None:
+        _raise_first_bad_pair(where, on)
+    try:
+        pairs = np.array(flat, dtype=np.intp).reshape(-1, 2)
+    except OverflowError:
+        _raise_first_bad_pair(where, on)  # a pair ahead of the one outside the intp range may drive a node twice
+        raise _outside_range(where, on) from None
+    if (shared := patterns.get(key := pairs.tobytes())) is not None:
+        return shared
+    nodes = np.sort(pairs, axis=None)  # not bincount: a node may be as large as the intp maximum
+    if (nodes[1:] == nodes[:-1]).any():
+        _raise_first_bad_pair(where, on)
+    pairs.flags.writeable = False
+    patterns[key] = pairs
     return pairs
 
 
@@ -316,10 +327,15 @@ def _pair_array(where: str, on, flat: list | None) -> np.ndarray:
     try:
         pairs = np.array(flat, dtype=np.intp).reshape(-1, 2)
     except OverflowError:
-        bad = next(pair for pair in on if not all(-_MAX_INDEX - 1 <= int(v) <= _MAX_INDEX for v in pair))
-        raise ValidationError(f"{where}: pair {bad!r} has a node outside [{-_MAX_INDEX - 1}, {_MAX_INDEX}]") from None
+        raise _outside_range(where, on) from None
     pairs.flags.writeable = False
     return pairs
+
+
+def _outside_range(where: str, on) -> ValidationError:
+    """The error naming the first pair of ``on``, all of whose entries are ints, that holds a node outside intp."""
+    bad = next(pair for pair in on if not all(-_MAX_INDEX - 1 <= int(v) <= _MAX_INDEX for v in pair))
+    return ValidationError(f"{where}: pair {bad!r} has a node outside [{-_MAX_INDEX - 1}, {_MAX_INDEX}]")
 
 
 def _raise_first_bad_pair(where: str, on: list) -> None:

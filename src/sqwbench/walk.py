@@ -170,7 +170,8 @@ def spread_statistics(history, origin: int) -> np.ndarray:
         if not abs(p.sum() - 1.0) <= _NORM_ATOL:
             raise ValidationError(f"distribution sums to {p.sum()!r}, not 1")
         x = np.arange(p.shape[0], dtype=float) - origin
-        mean = float(p @ x)
-        second = float(p @ (x * x))
+        # einsum's own loop, as in _as_state: p @ x hands the dot product to BLAS, whose worker then spins on
+        mean = float(np.einsum("i,i->", p, x))
+        second = float(np.einsum("i,i->", p, x * x))
         sigmas.append(math.sqrt(max(second - mean * mean, 0.0)))
     return np.asarray(sigmas)

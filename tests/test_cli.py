@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -11,10 +12,11 @@ import numpy as np
 import pytest
 
 import sqwbench
+from sqwbench import errors
 from sqwbench._format import fmt17
 from sqwbench.circuit import DEFAULT_PARAMS
 from sqwbench.cli import main, parse_theta
-from sqwbench.errors import NumericError, ValidationError
+from sqwbench.errors import NumericError, ValidationError, _load_json
 from sqwbench.graph import (
     build_graph,
     generate_lattice_tessellations,
@@ -450,6 +452,37 @@ class TestUndecodableJson:
     def test_parse_schedule_raises_validation_error(self, fault):
         with pytest.raises(ValidationError, match="^schedule JSON cannot be decoded: "):
             parse_schedule(UNDECODABLE[fault])
+
+
+class TestCollectorRestored:
+    """_load_json pauses the cyclic collector while it decodes and leaves it as the caller had it, on every exit."""
+
+    @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_success(self, collector, monkeypatch):
+        during = []
+        loads = json.loads
+        monkeypatch.setattr(errors.json, "loads", lambda text: during.append(gc.isenabled()) or loads(text))
+        assert _load_json('{"a": [[0, 1]]}', "test JSON") == {"a": [[0, 1]]}
+        assert during == [False] and gc.isenabled() is collector
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"nodes": [0, 1', "^malformed test JSON at byte offset 15: "),
+            *((text, "^test JSON cannot be decoded: ") for text in UNDECODABLE.values()),
+        ],
+        ids=["malformed", *UNDECODABLE],
+    )
+    def test_failure(self, collector, text, message):
+        with pytest.raises(ValidationError, match=message):
+            _load_json(text, "test JSON")
+        assert gc.isenabled() is collector
 
 
 class TestNonUtf8Input:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import sqwbench
 from sqwbench._format import fmt17
 from sqwbench.circuit import DEFAULT_PARAMS, CircuitParams
-from sqwbench.errors import UnreachableFluxError, ValidationError
+from sqwbench.errors import UnreachableFluxError, ValidationError, _int_pairs
 from sqwbench.graph import (
     build_graph,
     generate_lattice_tessellations,
@@ -584,6 +584,14 @@ class TestWireFormatV2:
         assert s.intervals[0].on_pairs is s.intervals[1].on_pairs
         assert s.intervals[0].on_pairs.tolist() == [[0, 1]]
 
+    def test_repeated_table_pattern_shares_one_array_and_a_reversed_pair_does_not(self):
+        patterns = [[[0, 1], [2, 3]], [[1, 2]], [[0, 1], [2, 3]], [[0, 1], [3, 2]]]
+        s = parse_schedule(json.dumps({**HEADER_V2, "patterns": patterns, "intervals": [[k, k] for k in range(4)]}))
+        first, other, repeat, reversed_pair = (iv.on_pairs for iv in s.intervals)
+        assert repeat is first and first.tolist() == patterns[0]
+        assert reversed_pair is not first and other is not first and reversed_pair.tolist() == patterns[3]
+        assert all(not on.flags.writeable for on in (first, other, reversed_pair))
+
     def test_missing_patterns_key_named(self):
         fields = {key: value for key, value in HEADER_V2.items() if key != "patterns"}
         with pytest.raises(ValidationError) as info:
@@ -805,6 +813,71 @@ class TestSharedPatterns:
         assert PulseInterval(0, ()).on_pairs.shape == PulseInterval(0, np.empty(0)).on_pairs.shape == (0, 2)
         assert PulseInterval(0, [(0, 1)]) == PulseInterval(0, pairs[:1]) != PulseInterval(1, pairs[:1])
         assert hash(PulseInterval(0, [(0, 1)])) == hash(PulseInterval(0, pairs[:1]))
+
+
+INTP = np.iinfo(np.intp)
+
+
+def set_based_pattern(where, on, patterns):
+    """The set-based pattern check that parse_schedule once made, kept whole as a reference for its verdicts."""
+    flat = _int_pairs(on)
+    key = None if flat is None else tuple(flat)
+    if (pairs := patterns.get(key)) is None:
+        if flat is None or len(set(flat)) != len(flat):
+            first_bad_pair(where, on)
+        try:
+            pairs = np.array(flat, dtype=np.intp).reshape(-1, 2)
+        except OverflowError:
+            bad = next(pair for pair in on if not all(INTP.min <= v <= INTP.max for v in pair))
+            raise ValidationError(f"{where}: pair {bad!r} has a node outside [{INTP.min}, {INTP.max}]") from None
+        patterns[key] = pairs
+    return pairs
+
+
+def first_bad_pair(where, on):
+    driven = set()
+    for pair in on:
+        if not isinstance(pair, list) or len(pair) != 2 or not all(type(v) is int for v in pair):
+            raise ValidationError(f"{where}: pair {pair!r} must be a list of two node indices")
+        i, j = pair
+        if i == j:
+            raise ValidationError(f"{where}: pair {pair!r} repeats a node")
+        for v in (i, j):
+            if v in driven:
+                raise ValidationError(f"{where}: node {v} is driven by more than one pair")
+            driven.add(v)
+
+
+ENDPOINTS = st.integers(-3, 3) | st.sampled_from(
+    [INTP.max, INTP.min, INTP.max + 1, INTP.min - 1, 2**70, True, False, 1.0, -0.0]
+)
+PAIRS = st.tuples(ENDPOINTS, ENDPOINTS).map(list) | st.lists(ENDPOINTS, max_size=3) | st.just("ab")
+
+
+class TestPatternMatchesSetBasedCheck:
+    """parse_schedule gives each pattern the verdict, message and sharing of the set-based check, in both versions."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_same_verdict(self, data):
+        lists = data.draw(st.lists(st.lists(PAIRS, max_size=4), min_size=1, max_size=4), label="pair lists")
+        lists += [lists[k] for k in data.draw(st.lists(st.integers(0, len(lists) - 1), max_size=3), label="repeats")]
+        texts = {
+            "interval": schedule_json_of(*map(json.dumps, lists)),
+            "pattern": json.dumps({**HEADER_V2, "patterns": lists, "intervals": [[k, k] for k in range(len(lists))]}),
+        }
+        for where, text in texts.items():
+            patterns = {}
+            try:
+                expected = [set_based_pattern(f"{where} {k}", on, patterns) for k, on in enumerate(lists)]
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as info:
+                    parse_schedule(text)
+                assert str(info.value) == str(exc)
+                continue
+            got = [iv.on_pairs for iv in parse_schedule(text).intervals]
+            assert [on.tolist() for on in got] == [on.tolist() for on in expected]
+            assert [[a is b for b in got] for a in got] == [[a is b for b in expected] for a in expected]
 
 
 class TestIntervalGuard:

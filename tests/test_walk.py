@@ -457,6 +457,17 @@ class TestSpreadStatistics:
         sig4 = spread_statistics(dist4, 66)
         assert sig4[32] < sig3[32]
 
+    @pytest.mark.parametrize("n,origin", [(1, 0), (2001, 1000), (40_000, 20_100), (40_000, -7)])
+    def test_matches_exactly_rounded_sums(self, n, origin):
+        rng = np.random.default_rng(n + origin)
+        p = rng.random(n) ** 4
+        p /= math.fsum(p)
+        x = [k - origin for k in range(n)]
+        mean = math.fsum(pk * xk for pk, xk in zip(p.tolist(), x))
+        second = math.fsum(pk * xk * xk for pk, xk in zip(p.tolist(), x))
+        sigma = math.sqrt(max(second - mean * mean, 0.0))
+        assert spread_statistics([p], origin)[0] == pytest.approx(sigma, rel=1e-12, abs=1e-12)
+
     def test_empty_history_rejected(self):
         with pytest.raises(ValidationError):
             spread_statistics([], origin=0)
