@@ -300,16 +300,15 @@ def _pattern(where: str, on: list, patterns: dict) -> np.ndarray:
     if flat is None:
         _raise_first_bad_pair(where, on)
     try:
-        pairs = np.array(flat, dtype=np.intp).reshape(-1, 2)
-    except OverflowError:
-        _raise_first_bad_pair(where, on)  # a pair ahead of the one outside the intp range may drive a node twice
-        raise _outside_range(where, on) from None
+        pairs = _pair_array(where, on, flat)
+    except ValidationError:  # a node outside the intp range; a pair ahead of it may drive a node twice
+        _raise_first_bad_pair(where, on)
+        raise
     if (shared := patterns.get(key := pairs.tobytes())) is not None:
         return shared
     nodes = np.sort(pairs, axis=None)  # not bincount: a node may be as large as the intp maximum
     if (nodes[1:] == nodes[:-1]).any():
         _raise_first_bad_pair(where, on)
-    pairs.flags.writeable = False
     patterns[key] = pairs
     return pairs
 
@@ -327,15 +326,10 @@ def _pair_array(where: str, on, flat: list | None) -> np.ndarray:
     try:
         pairs = np.array(flat, dtype=np.intp).reshape(-1, 2)
     except OverflowError:
-        raise _outside_range(where, on) from None
+        bad = next(pair for pair in on if not all(-_MAX_INDEX - 1 <= int(v) <= _MAX_INDEX for v in pair))
+        raise ValidationError(f"{where}: pair {bad!r} has a node outside [{-_MAX_INDEX - 1}, {_MAX_INDEX}]") from None
     pairs.flags.writeable = False
     return pairs
-
-
-def _outside_range(where: str, on) -> ValidationError:
-    """The error naming the first pair of ``on``, all of whose entries are ints, that holds a node outside intp."""
-    bad = next(pair for pair in on if not all(-_MAX_INDEX - 1 <= int(v) <= _MAX_INDEX for v in pair))
-    return ValidationError(f"{where}: pair {bad!r} has a node outside [{-_MAX_INDEX - 1}, {_MAX_INDEX}]")
 
 
 def _raise_first_bad_pair(where: str, on: list) -> None:
