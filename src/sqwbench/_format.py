@@ -30,17 +30,12 @@ def _digits_before(k: int) -> int:
 
 
 class _StepRows(Sequence):
-    """The rows of distribution.csv: ``rows(step, dist)`` formats one step, ``keep(dist)`` stores the next one.
-
-    As a sequence it holds the kept steps, ``self[k]`` formatted on each read.
-    See :func:`distribution_rows`.
+    """The rows of distribution.csv: ``keep(dist)`` stores the next step, and as a sequence it holds the kept steps,
+    ``self[k]`` formatted on each read.  See :func:`distribution_rows`.
     """
 
     def __init__(self, value: str, zero: str, kept: list):
         self._value, self._zero, self._kept = value, zero, kept
-
-    def __call__(self, step, dist):
-        return self._texts(step, *_live_window(dist))
 
     def keep(self, dist) -> None:
         lo, window = _live_window(dist)
@@ -76,17 +71,13 @@ def _live_window(dist):
 def distribution_rows(n: int) -> _StepRows:
     """The ``step,node,probability`` rows of an n-node distribution.csv, one step at a time.
 
-    ``rows(step, dist)`` returns one step's rows as three texts: the zero rows
-    before the step's live window, the window's rows, and the zero rows after
-    it; the window runs from the first to the last value that is not +0.0
-    (``-0.0`` and NaN fall in it).  Step 0's first text starts with the
-    header, so the file is every step's texts in order.
-
     ``rows.keep(dist)`` stores the next step (numbered from 0) as a float64
-    copy of its live window only, 8 bytes per live node, and no text.  ``rows``
-    is then a sequence over the kept steps: ``rows[k]`` is step k's whole text,
-    formatted when it is read, and ``rows[a:b]`` holds steps a to b - 1 under
-    their own numbers, so ``"".join(rows)`` is the file.
+    copy of its live window only, 8 bytes per live node, and no text; the
+    window runs from the first to the last value that is not +0.0 (``-0.0``
+    and NaN fall in it).  ``rows`` is then a sequence over the kept steps:
+    ``rows[k]`` is step k's whole text, formatted when it is read, and
+    ``rows[a:b]`` holds steps a to b - 1 under their own numbers.  Step 0's
+    text starts with the header, so ``"".join(rows)`` is the file.
 
     The ``%``-template of the n nodes and its zero body, where every value
     reads ``0``, are built once, here.  Each step fills only the window's rows

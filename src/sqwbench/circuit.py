@@ -95,12 +95,20 @@ class CircuitParams:
         _check_product("2 * half_length * cap_per_length", 2.0 * self.half_length * self.cap_per_length)
         # the solver's ratios, named by their inputs: an overflow would surface as a solver argument's inf
         chi = chi_from_params(self, josephson_coefficient(0.0, self))  # chi_l at integer flux is the largest
-        for label, value in (
-            ("chi_c = junction_capacitance / (2 * half_length * cap_per_length)", chi.chi_c),
-            ("max chi_l = 4 pi**2 * josephson_energy / flux_quantum**2 * 2 * half_length * ind_per_length", chi.chi_l),
-        ):
+        labels = (
+            "chi_c = junction_capacitance / (2 * half_length * cap_per_length)",
+            "max chi_l = 4 pi**2 * josephson_energy / flux_quantum**2 * 2 * half_length * ind_per_length",
+        )
+        for label, value in zip(labels, (chi.chi_c, chi.chi_l)):
             if not value < math.inf:
                 raise ValidationError(f"{label} must be finite, got {value!r}")
+        try:  # the all-on mode, chi_l sum = -2 * max chi_l, has the hardest branch-1 bracket of every solve
+            _root_in_branch(1, chi.chi_c, -2.0 * chi.chi_l)
+        except NumericError:
+            raise ValidationError(
+                f"{labels[0]} = {chi.chi_c!r} and {labels[1]} = {chi.chi_l!r} leave the all-on mode equation "
+                "no root the solver can resolve in tangent branch 1"
+            ) from None
 
     def wave_speed(self) -> float:
         """Electromagnetic wave speed 1/sqrt(l*c) in the line (m/s)."""
@@ -162,16 +170,6 @@ def chi_from_params(params: CircuitParams, josephson_coeff: float) -> ChiPair:
 def max_chi_l(params: CircuitParams) -> float:
     """Largest reachable |chi_l| (at integer flux ratios)."""
     return abs(chi_from_params(params, josephson_coefficient(0.0, params)).chi_l)
-
-
-# 50-ohm line, 1-cm half-length, standard junction values
-DEFAULT_PARAMS = CircuitParams(
-    cap_per_length=1e-10,
-    ind_per_length=2.5e-7,
-    half_length=1e-2,
-    junction_capacitance=1e-15,
-    josephson_energy=6.6262e-24,
-)
 
 
 def _mode_equation(x: float, chi_c: float, chi_sum: float) -> float:
@@ -240,6 +238,16 @@ def _root_in_branch(branch: int, chi_c: float, chi_sum: float) -> float | None:
         f"root polishing stalled in branch {branch} at x={x!r} "
         f"(residual {_mode_equation(x, chi_c, chi_sum)!r})"
     )
+
+
+# 50-ohm line, 1-cm half-length, standard junction values
+DEFAULT_PARAMS = CircuitParams(
+    cap_per_length=1e-10,
+    ind_per_length=2.5e-7,
+    half_length=1e-2,
+    junction_capacitance=1e-15,
+    josephson_energy=6.6262e-24,
+)
 
 
 def solve_mode(

@@ -400,9 +400,10 @@ def greedy_tessellate(g: Graph) -> TessellationSet:
     """Cover all edges of a triangle-free graph with maximal matchings.
 
     Each round takes a maximal matching of the still-uncovered edges, preferring edges whose endpoints have the
-    highest remaining degree (this keeps the round count at or below max_degree + 1 on every graph family we have
-    exercised).  A warning is issued when the count exceeds the maximum degree, which can happen on class-2 graphs
-    such as odd cycles.
+    highest remaining degree.  A maximal matching of a non-empty edge set is non-empty, so the loop ends.  An edge
+    (u, v) still uncovered after round r was blocked in each of those rounds by a matched edge at u or at v, and
+    there are at most 2 * max_degree - 2 such edges, so every edge is covered within 2 * max_degree - 1 rounds.
+    A warning is issued when the count exceeds the maximum degree, as it must on class-2 graphs such as odd cycles.
     """
     if not is_triangle_free(g):
         raise ValidationError("graph contains a triangle; staggered tessellations need triangle-free input")
@@ -422,11 +423,6 @@ def greedy_tessellate(g: Graph) -> TessellationSet:
         matched = _greedy_matching(uncovered, order)
         tessellations.append(Tessellation._from_pairs(endpoints[uncovered.compress(matched, axis=0)], g.node_count))
         uncovered = uncovered.compress(~matched, axis=0)
-        if len(tessellations) > max_degree + 1:
-            raise ValidationError(
-                f"matching decomposition needed more than max_degree+1 = {max_degree + 1} rounds; "
-                "supply explicit tessellations for this graph"
-            )
     if not tessellations:
         tessellations.append(Tessellation._from_pairs([], g.node_count))
     if len(tessellations) > max_degree > 0:

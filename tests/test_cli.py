@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 import sqwbench
 from sqwbench import errors
 from sqwbench._format import fmt17
-from sqwbench.circuit import DEFAULT_PARAMS
+from sqwbench.circuit import DEFAULT_PARAMS, max_chi_l
 from sqwbench.cli import main, parse_theta
 from sqwbench.errors import NumericError, ValidationError, _load_json
 from sqwbench.graph import (
@@ -25,7 +26,7 @@ from sqwbench.graph import (
     graph_to_json,
     greedy_tessellate,
 )
-from sqwbench.schedule import parse_schedule
+from sqwbench.schedule import parse_schedule, validate_schedule
 from sqwbench.walk import WalkConfig, evolve, initial_basis_state, probability_distribution
 
 DATA = Path(__file__).parent / "data"
@@ -265,6 +266,56 @@ class TestDistributionCsvBytes:
         assert (out / "distribution.csv").read_bytes() == per_cell_csv(g, ts, theta, steps, convention)
 
 
+def complete_bipartite_json(k):
+    return json.dumps({"nodes": 2 * k, "edges": [[i, k + j] for i in range(k) for j in range(k)]})
+
+
+class TestGreedyGraphFiles:
+    # sha256 of distribution.csv and run.json from walk --graph FILE --steps 3, taken when greedy_tessellate
+    # refused graphs that need more than max_degree + 1 rounds: the graphs it accepted then keep their bytes
+    PINNED = {
+        "bipartite7.json": (
+            (DATA / "graph_bipartite7.json").read_text(),
+            "5193203a33885a6206190bdf801d3f576dbbb3d27692d3bf01ee1cfefd576db7",
+            "8b80e5d4134d0ab7946fb31f56c554dd8c0df5f504f5f034a15722bd48f00a56",
+        ),
+        "cycle7.json": (  # 3 rounds for maximum degree 2, with the warning
+            json.dumps({"nodes": 7, "edges": [[i, (i + 1) % 7] for i in range(7)]}),
+            "b21ed394918fca56b213ed51550d99063a75d3958c9161fffed3e32ee9953f08",
+            "e43c80f3ef831bb2f22118f7578db883838e874c85502af4c73ed3fd195fe57e",
+        ),
+        "k55.json": (  # 6 rounds for maximum degree 5, with the warning
+            complete_bipartite_json(5),
+            "50056236d2d441039f95fbe837c01fa6fca640d61a4255319a743e3757c3473e",
+            "ab8e85235492d8e46ae994126f8e7a02c45e0ad843aa0f45dfd57dbf0c2fcc26",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    @pytest.mark.filterwarnings("ignore:needed:RuntimeWarning")
+    def test_walk_bytes_are_pinned(self, tmp_path, monkeypatch, name):
+        text, *expected = self.PINNED[name]
+        monkeypatch.chdir(tmp_path)  # run.json records the graph path as given
+        Path(name).write_text(text)
+        assert main(["walk", "--graph", name, "--steps", "3", "--out", "out"]) == 0
+        for output, digest in zip(["distribution.csv", "run.json"], expected):
+            assert hashlib.sha256((tmp_path / "out" / output).read_bytes()).hexdigest() == digest, f"{name}: {output}"
+
+    def test_k10_10_walks_and_compiles(self, tmp_path):
+        # greedy needs 12 rounds for maximum degree 10 here: more than max_degree + 1
+        graph_file = tmp_path / "k10_10.json"
+        graph_file.write_text(complete_bipartite_json(10))
+        with pytest.warns(RuntimeWarning, match="^needed 12 tessellations for maximum degree 10$"):
+            assert main(["walk", "--graph", str(graph_file), "--steps", "2", "--out", str(tmp_path / "w")]) == 0
+            assert main(["schedule", "--graph", str(graph_file), "--out", str(tmp_path / "s")]) == 0
+        source = json.loads((tmp_path / "w" / "run.json").read_text())["tessellation_source"]
+        assert source == f"file+greedy:{graph_file}"
+        g, _ = graph_from_json(graph_file.read_text())
+        schedule = parse_schedule((tmp_path / "s" / "schedule.json").read_text())
+        assert len(schedule.intervals) == 12
+        assert validate_schedule(schedule, g) == []
+
+
 class TestCircuitCommand:
     def test_stock_report_numbers(self, tmp_path, capsys):
         assert main(["circuit", "--out", str(tmp_path)]) == 0
@@ -418,6 +469,36 @@ class TestCircuitCommand:
         assert main(command + ["--params", str(params_file), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["circuit"], ["schedule", "--path", "5"]], ids=["circuit", "schedule"])
+    @pytest.mark.parametrize(
+        "value", [1e155, 1e-155, 1e160, 1e-160, 1e200, 1e-200, 1e300, 1e-300, 1e308, 1e-320, 5e-324]
+    )
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(DEFAULT_PARAMS)])
+    def test_extreme_field_is_solved_or_domain_error(self, tmp_path, capsys, command, field, value):
+        # a chi_c or max chi_l too large for the solver to bracket the all-on mode root is bad input, not a
+        # numeric failure
+        params_file = tmp_path / "params.json"
+        params_file.write_text(json.dumps({**dataclasses.asdict(DEFAULT_PARAMS), field: value}))
+        out = tmp_path / "out"
+        code = main(command + ["--params", str(params_file), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 2), err
+        assert "numeric failure" not in err and "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not out.exists()
+
+    def test_unresolvable_mode_names_both_ratios(self, tmp_path, capsys):
+        params_file = tmp_path / "params.json"
+        params_file.write_text(json.dumps({**dataclasses.asdict(DEFAULT_PARAMS), "junction_capacitance": 1e155}))
+        assert main(["circuit", "--params", str(params_file), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: chi_c = junction_capacitance / (2 * half_length * cap_per_length) = 5e+166 and "
+            "max chi_l = 4 pi**2 * josephson_energy / flux_quantum**2 * 2 * half_length * ind_per_length = "
+            f"{max_chi_l(DEFAULT_PARAMS)!r} leave the all-on mode equation no root the solver can resolve in tangent "
+            "branch 1\n"
+        )
 
     def test_unknown_param_key_is_domain_error(self, tmp_path):
         bad = tmp_path / "bad.json"

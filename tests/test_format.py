@@ -22,10 +22,18 @@ def per_cell_csv(distributions):
     return "\n".join(lines) + "\n"
 
 
-def distribution_csv(distributions):
-    """The file as cli.cmd_walk writes it: each recorded step's texts, in order."""
+def kept(distributions):
+    """The kept-step sequence of ``distributions``, as cli.cmd_walk hands it to the write."""
     rows = distribution_rows(len(distributions[0]))
-    return "".join(text for step, dist in enumerate(distributions) for text in rows(step, dist))
+    for dist in distributions:
+        rows.keep(dist)
+    return rows
+
+
+def distribution_csv(distributions):
+    """The file as cli.cmd_walk writes it: each kept step's text, in order."""
+    rows = kept(distributions)
+    return "".join(rows[k] for k in range(len(rows)))
 
 
 class TestPercentTemplateMatchesFmt17:
@@ -97,18 +105,10 @@ class TestDistributionCsv:
         # every row of a step with no zero comes from the value template, and every row of an all-zero step from
         # the zero body; both must match the template written out one node at a time
         template = "".join(f"\t{node},%.17g\n" for node in range(nodes))
-        rows = distribution_rows(nodes)
         values = np.arange(1.0, nodes + 1.0)
-        assert "".join(rows(1, values)) == template.replace("\t", "1,") % tuple(values.tolist())
-        assert "".join(rows(2, np.zeros(nodes))) == template.replace(",%.17g\n", ",0\n").replace("\t", "2,")
-
-
-def kept(distributions):
-    """The kept-step sequence of ``distributions``, as cli.cmd_walk hands it to the write."""
-    rows = distribution_rows(len(distributions[0]))
-    for dist in distributions:
-        rows.keep(dist)
-    return rows
+        rows = kept([np.zeros(nodes), values, np.zeros(nodes)])  # step 0 alone carries the header
+        assert rows[1] == template.replace("\t", "1,") % tuple(values.tolist())
+        assert rows[2] == template.replace(",%.17g\n", ",0\n").replace("\t", "2,")
 
 
 class TestKeptSteps:

@@ -527,6 +527,66 @@ class TestGreedyTessellate:
             assert covered == set(g.edges)
 
 
+def petersen_graph():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    return build_graph(10, outer + [(i, i + 5) for i in range(5)] + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def tessellate_within_bound(g):
+    """greedy_tessellate's count, checked against max(2 * max_degree - 1, 1), with the cover validated.
+
+    Each round is one _greedy_matching call; a round past the bound fails at once, so a matching that stalls
+    cannot loop.
+    """
+    delta = g.max_degree()
+    bound = max(2 * delta - 1, 1)
+    matching, rounds = graph._greedy_matching, itertools.count(1)
+
+    def counted(pairs, order):
+        assert next(rounds) <= bound, f"greedy_tessellate started a round past 2 * {delta} - 1"
+        return matching(pairs, order)
+
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        patch.setattr(graph, "_greedy_matching", counted)
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ts = greedy_tessellate(g)
+    assert delta <= len(ts) <= bound, g
+    assert validate_tessellation_set(g, ts) == [], g
+    return len(ts)
+
+
+class TestGreedyRoundBound:
+    # an edge still uncovered after round r was blocked in each round by a matched edge at one of its two nodes;
+    # there are at most 2 * max_degree - 2 of those, so greedy needs at most 2 * max_degree - 1 rounds
+
+    @pytest.mark.parametrize("k", range(1, 41))
+    @pytest.mark.parametrize("interleaved", [False, True], ids=["split", "interleaved"])
+    def test_complete_bipartite(self, k, interleaved):
+        if interleaved:
+            edges = [(2 * i, 2 * j + 1) for i in range(k) for j in range(k)]
+        else:
+            edges = [(i, k + j) for i in range(k) for j in range(k)]
+        tessellate_within_bound(build_graph(2 * k, edges))
+
+    def test_random_bipartite(self):
+        rng = random.Random(5)
+        graphs = [random_bipartite(rng, rng.randint(2, 14), rng.randint(2, 14)) for _ in range(600)]
+        # the sample reaches more than max_degree + 1 rounds
+        assert max(tessellate_within_bound(g) - g.max_degree() for g in graphs) >= 2
+
+    def test_random_triangle_free(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            tessellate_within_bound(random_triangle_free(rng, rng.randint(3, 30), rng.uniform(0.1, 0.6)))
+
+    @pytest.mark.parametrize("n", [5, 7, 9, 41])
+    def test_odd_cycles(self, n):
+        assert tessellate_within_bound(build_graph(n, [(i, (i + 1) % n) for i in range(n)])) == 3
+
+    def test_petersen(self):
+        assert tessellate_within_bound(petersen_graph()) == 4
+
+
 def reference_greedy(g):
     """greedy_tessellate as it was built on Python sets: each round's sorted elements, in round order."""
     adj = {v: set() for v in range(g.node_count)}
@@ -555,11 +615,6 @@ def reference_greedy(g):
                 used.update((i, j))
         rounds.append(tuple(sorted(matching + [(v,) for v in range(g.node_count) if v not in used])))
         uncovered.difference_update(matching)
-        if len(rounds) > max_degree + 1:
-            raise ValidationError(
-                f"matching decomposition needed more than max_degree+1 = {max_degree + 1} rounds; "
-                "supply explicit tessellations for this graph"
-            )
     if not rounds:
         rounds.append(tuple((v,) for v in range(g.node_count)))
     if len(rounds) > max_degree > 0:
@@ -596,13 +651,15 @@ class TestGreedyMatchesReference:
             expected = greedy_outcome(reference_greedy, g)
             assert greedy_outcome(greedy_tessellate, g) == expected, g
             outcomes.add((isinstance(expected[0], str), bool(expected[1])))
-        # the sample reaches the plain and the warning outcome; K6,6 below raises
+        # the sample reaches the plain and the warning outcome
         assert {(False, False), (False, True)} <= outcomes
 
-    def test_k66_minus_two_edges_raises(self):
+    def test_k66_minus_two_edges_needs_eight(self):
+        # more rounds than max_degree + 1 = 7
         g = build_graph(12, [(i, j) for i in range(6) for j in range(6, 12) if (i, j) not in {(0, 6), (2, 8)}])
         result, caught = greedy_outcome(greedy_tessellate, g)
-        assert result.startswith("matching decomposition needed more than max_degree+1 = 7 rounds; ")
+        assert len(result) == 8 and caught == [(RuntimeWarning, "needed 8 tessellations for maximum degree 6")]
+        assert tessellate_within_bound(g) == 8  # and the cover validates
         assert (result, caught) == greedy_outcome(reference_greedy, g)
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 21])

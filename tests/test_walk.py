@@ -511,17 +511,6 @@ NON_PARTITIONS_OF_4 = {
 }
 
 
-def kernel_operand(elements, n):
-    """What local_unitary is handed for ``elements`` on n nodes when no graph is at hand.
-
-    The kernel takes the tessellation itself; where a separate operator
-    spec is its operand instead, that spec is built from the elements.
-    """
-    t = Tessellation(elements)
-    build_spec = getattr(walk, "hamiltonian_spec_from_elements", None)
-    return t if build_spec is None else build_spec(t.elements, n)
-
-
 class TestPartitionGuarantee:
     @pytest.mark.parametrize(
         "elements,partitioned",
@@ -543,7 +532,7 @@ class TestPartitionGuarantee:
     @pytest.mark.parametrize("elements", NON_PARTITIONS_OF_4.values(), ids=NON_PARTITIONS_OF_4.keys())
     def test_local_unitary_rejects_non_partition(self, elements):
         with pytest.raises(ValidationError):
-            local_unitary(initial_basis_state(4, 0), kernel_operand(elements, 4), WalkConfig(0.3))
+            local_unitary(initial_basis_state(4, 0), Tessellation(elements), WalkConfig(0.3))
 
     @pytest.mark.parametrize("elements", NON_PARTITIONS_OF_4.values(), ids=NON_PARTITIONS_OF_4.keys())
     def test_evolve_rejects_non_partition(self, elements):
