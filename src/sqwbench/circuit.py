@@ -30,9 +30,10 @@ kappa/omega ratios) are the robust outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
-from .errors import NumericError, UnreachableFluxError, ValidationError, _is_index, _is_number
+from .errors import NumericError, UnreachableFluxError, ValidationError, _is_index, _is_number, _not_finite
 
 __all__ = [
     "CircuitParams",
@@ -53,8 +54,8 @@ __all__ = [
 ]
 
 
-def _check_product(label: str, value: float) -> None:
-    if not 0.0 < value < math.inf:
+def _check_positive(label: str, value) -> None:
+    if not (_is_number(value) and 0.0 < value <= sys.float_info.max):  # exact, also for an int past the floats
         raise ValidationError(f"{label} must be a positive finite number, got {value!r}")
 
 
@@ -84,15 +85,12 @@ class CircuitParams:
     flux_quantum: float = 2.0679e-15
 
     def __post_init__(self):
-        for name in ("cap_per_length", "ind_per_length", "half_length",
-                     "junction_capacitance", "josephson_energy", "flux_quantum"):
-            value = getattr(self, name)
-            if not (_is_number(value) and math.isfinite(value) and value > 0):
-                raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
+        for field in fields(self):
+            _check_positive(field.name, getattr(self, field.name))
         # the formulas divide by these products, so one that overflows to inf or underflows to 0 is an input error
-        _check_product("flux_quantum**2", self.flux_quantum * self.flux_quantum)
-        _check_product("ind_per_length * cap_per_length", self.ind_per_length * self.cap_per_length)
-        _check_product("2 * half_length * cap_per_length", 2.0 * self.half_length * self.cap_per_length)
+        _check_positive("flux_quantum**2", self.flux_quantum * self.flux_quantum)
+        _check_positive("ind_per_length * cap_per_length", self.ind_per_length * self.cap_per_length)
+        _check_positive("2 * half_length * cap_per_length", 2.0 * self.half_length * self.cap_per_length)
         # the solver's ratios, named by their inputs: an overflow would surface as a solver argument's inf
         chi = chi_from_params(self, josephson_coefficient(0.0, self))  # chi_l at integer flux is the largest
         labels = (
@@ -100,8 +98,8 @@ class CircuitParams:
             "max chi_l = 4 pi**2 * josephson_energy / flux_quantum**2 * 2 * half_length * ind_per_length",
         )
         for label, value in zip(labels, (chi.chi_c, chi.chi_l)):
-            if not value < math.inf:
-                raise ValidationError(f"{label} must be finite, got {value!r}")
+            if fault := _not_finite(label, value):
+                raise ValidationError(fault)
         try:  # the all-on mode, chi_l sum = -2 * max chi_l, has the hardest branch-1 bracket of every solve
             _root_in_branch(1, chi.chi_c, -2.0 * chi.chi_l)
         except NumericError:
@@ -154,8 +152,8 @@ def josephson_coefficient(flux_ratio: float, params: CircuitParams) -> float:
     Even and 2-periodic in ``flux_ratio`` (external flux over one flux
     quantum); maximal magnitude at integer ratios, zero at half-integer.
     """
-    if not math.isfinite(flux_ratio):
-        raise ValidationError(f"flux_ratio must be finite, got {flux_ratio!r}")
+    if fault := _not_finite("flux_ratio", flux_ratio):
+        raise ValidationError(fault)
     scale = 4.0 * math.pi**2 / params.flux_quantum**2
     return scale * params.josephson_energy * math.cos(math.pi * flux_ratio)
 
@@ -265,8 +263,8 @@ def solve_mode(
     turns the root kL into the mode frequency ``omega``.
     """
     for name, value in (("chi_c", chi_c), ("chi_l_left", chi_l_left), ("chi_l_right", chi_l_right)):
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value!r}")
+        if fault := _not_finite(name, value):
+            raise ValidationError(fault)
     if not _is_index(mode_index) or mode_index < 1:
         raise ValidationError(f"mode_index must be an integer >= 1, got {mode_index!r}")
     chi_sum = chi_l_left + chi_l_right
@@ -337,8 +335,8 @@ def pulse_duration(theta: float, kappa_total: float) -> float:
     """
     if kappa_total == 0.0:
         raise ValidationError("coupling strength is zero; no pulse duration realizes the angle")
-    if not math.isfinite(theta):
-        raise ValidationError(f"theta must be finite, got {theta!r}")
+    if fault := _not_finite("theta", theta):
+        raise ValidationError(fault)
     return theta % (2.0 * math.pi) / kappa_total
 
 

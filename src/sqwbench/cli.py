@@ -113,7 +113,12 @@ def _resolve_graph(args):
     g, ts = graph_from_json(_read_utf8(args.graph, "graph file"))
     if ts is not None:
         return g, ts, f"file:{args.graph}"
-    return g, greedy_tessellate(g), f"file+greedy:{args.graph}"
+    with warnings.catch_warnings(record=True) as caught:  # printed as one line each, not Python's warning display
+        warnings.simplefilter("always")
+        ts = greedy_tessellate(g)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return g, ts, f"file+greedy:{args.graph}"
 
 
 def _read_utf8(path: str, what: str) -> str:

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import sys
 from itertools import chain
 
 __all__ = ["ValidationError", "UnreachableFluxError", "NumericError"]
@@ -35,6 +36,11 @@ def _is_index(value) -> bool:
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _not_finite(key: str, value) -> str | None:
+    """The message for a number that is inf, nan or an integer beyond the float range, else None."""
+    return None if abs(value) <= sys.float_info.max else f"{key} must be finite, got {value!r}"
 
 
 def _int_pairs(entries) -> list[int] | None:

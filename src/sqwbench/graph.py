@@ -488,13 +488,12 @@ def graph_from_json(text: str) -> tuple[Graph, TessellationSet | None]:
         raise ValidationError('graph JSON needs "nodes" and "edges" keys')
     if not _is_index(obj["nodes"]):
         raise ValidationError('"nodes" must be an integer')
-    if not isinstance(obj["edges"], list):
-        raise ValidationError('"edges" must be a list of [i, j] pairs')
+    edges = obj["edges"] if isinstance(obj["edges"], list) else None  # build_graph's list(None) raises TypeError
     try:
-        g = build_graph(obj["nodes"], obj["edges"])
-    except ValidationError:
-        # an entry that is not a list takes precedence; every such JSON value fails build_graph
-        if not all(isinstance(e, list) for e in obj["edges"]):
+        g = build_graph(obj["nodes"], edges)
+    except (ValidationError, TypeError):
+        # a value or an entry that is not a list takes precedence; every such JSON value fails build_graph
+        if edges is None or not all(isinstance(e, list) for e in edges):
             raise ValidationError('"edges" must be a list of [i, j] pairs') from None
         raise
     ts = None

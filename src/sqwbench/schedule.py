@@ -10,7 +10,6 @@ one interval per tessellation, back to back.
 from __future__ import annotations
 
 import json
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from ._format import json_float
 from .circuit import CircuitParams, OperatingPoint, pulse_duration, solve_operating_point
-from .errors import ValidationError, _int_pairs, _is_index, _is_number, _load_json
+from .errors import ValidationError, _int_pairs, _is_index, _is_number, _load_json, _not_finite
 from .graph import _MAX_INDEX, Graph, Tessellation, TessellationSet, _canonical_pairs, validate_tessellation_set
 from .walk import CONVENTION_PHYSICAL, WalkConfig, evolve
 
@@ -57,7 +56,7 @@ class PulseInterval:
         on = self.on_pairs
         if not (isinstance(on, np.ndarray) and on.dtype == np.intp and on.shape[1:] == (2,) and not on.flags.writeable):
             on = on.tolist() if isinstance(on, np.ndarray) else on if isinstance(on, (list, tuple)) else list(on)
-            object.__setattr__(self, "on_pairs", _pair_array(f"interval {self.index}", on, _int_pairs(on)))
+            object.__setattr__(self, "on_pairs", _pair_array(f"interval {self.index}", on))
 
     def __eq__(self, other):
         if not isinstance(other, PulseInterval):
@@ -157,7 +156,7 @@ def validate_schedule(s: PulseSchedule, g: Graph) -> list[str]:
     come pair by pair: "not an edge" first, then each node already driven by an earlier pair.  Each distinct
     ``on_pairs`` array is checked once, as arrays; one with a fault is walked, and reported, for each interval.
     """
-    violations = list(filter(None, map(_infinite, _HEADER, (s.tau_seconds, s.flux_on_ratio, s.flux_off_ratio))))
+    violations = list(filter(None, map(_not_finite, _HEADER, (s.tau_seconds, s.flux_on_ratio, s.flux_off_ratio))))
     if not s.tau_seconds > 0.0:
         violations.append(f"interval length {s.tau_seconds!r} is not positive")
     faults = {}  # id(on_pairs) -> which of its pairs are edges, or None if it is sound; s keeps each array alive
@@ -192,11 +191,6 @@ def feasibility_notes(s: PulseSchedule) -> list[str]:
 _HEADER = ("tau_s", "flux_on", "flux_off")  # the wire names of the header floats, in PulseSchedule field order
 
 
-def _infinite(key: str, value) -> str | None:
-    """The message for a header float that is inf, nan or an integer beyond the float range, else None."""
-    return None if abs(value) <= sys.float_info.max else f"{key} must be finite, got {value!r}"
-
-
 def _check_header(tau, flux_on, flux_off, steps) -> None:
     """Raise the first fault of a header that ``parse_schedule`` would reject; ``emit_schedule`` writes no other."""
     if not _is_number(tau) or not tau > 0:
@@ -204,10 +198,9 @@ def _check_header(tau, flux_on, flux_off, steps) -> None:
     for key, value in zip(_HEADER, (tau, flux_on, flux_off)):
         if not _is_number(value):
             raise ValidationError(f"{key} must be a number, got {value!r}")
-        if fault := _infinite(key, value):
+        if fault := _not_finite(key, value):
             raise ValidationError(fault)
-    if not _is_index(steps) or steps < 0:
-        raise ValidationError(f"steps must be a non-negative integer, got {steps!r}")
+    WalkConfig(theta=0.0, steps=steps)  # the walk's own rule for the step count
 
 
 _LAYOUT = (
@@ -251,11 +244,11 @@ def parse_schedule(text: str) -> PulseSchedule:
     obj = _load_json(text, "schedule JSON")
     if not isinstance(obj, dict):
         raise ValidationError("schedule JSON must be an object")
+    if "version" in obj and not (_is_index(obj["version"]) and obj["version"] in (1, 2)):  # true == 1.0 == 1
+        raise ValidationError(f"unsupported schedule schema version {obj['version']!r}")
     for key in ("version", "tau_s", "flux_on", "flux_off", "steps", "intervals", "patterns"):
         if key not in obj and (key != "patterns" or obj["version"] == 2):  # only version 2 has patterns
             raise ValidationError(f'schedule JSON is missing key "{key}"')
-    if obj["version"] not in (1, 2):
-        raise ValidationError(f"unsupported schedule schema version {obj['version']!r}")
     _check_header(*(obj[key] for key in (*_HEADER, "steps")))
     if not isinstance(obj["intervals"], list):
         raise ValidationError("intervals must be a list")
@@ -296,12 +289,9 @@ def _v2_intervals(table, entries: list, patterns: dict) -> list[PulseInterval]:
 def _pattern(where: str, on: list, patterns: dict) -> np.ndarray:
     """``on`` as a read-only ``(p, 2)`` intp array, checked once per distinct pattern, which ``patterns`` maps from
     its bytes; the pairs are walked only to word a fault, so the first bad pair in ``on`` is the one named."""
-    flat = _int_pairs(on)
-    if flat is None:
-        _raise_first_bad_pair(where, on)
     try:
-        pairs = _pair_array(where, on, flat)
-    except ValidationError:  # a node outside the intp range; a pair ahead of it may drive a node twice
+        pairs = _pair_array(where, on)
+    except ValidationError:  # a pair ahead of the one named may repeat a node or drive one twice
         _raise_first_bad_pair(where, on)
         raise
     if (shared := patterns.get(key := pairs.tobytes())) is not None:
@@ -313,10 +303,10 @@ def _pattern(where: str, on: list, patterns: dict) -> np.ndarray:
     return pairs
 
 
-def _pair_array(where: str, on, flat: list | None) -> np.ndarray:
-    """``on``, with endpoints ``flat`` from ``_int_pairs``, as a read-only ``(p, 2)`` intp array; else names the first
-    pair that is not two ints, Python or numpy (a bool is neither), or holds a node outside the intp range."""
-    if flat is None:
+def _pair_array(where: str, on) -> np.ndarray:
+    """``on`` as a read-only ``(p, 2)`` intp array; else names the first pair that is not two ints, Python or numpy
+    (a bool is neither), or holds a node outside the intp range."""
+    if (flat := _int_pairs(on)) is None:
         for pair in on:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(
                 type(v) is int or isinstance(v, np.integer) for v in pair  # type() is int excludes bool
@@ -333,11 +323,11 @@ def _pair_array(where: str, on, flat: list | None) -> np.ndarray:
 
 
 def _raise_first_bad_pair(where: str, on: list) -> None:
-    """Name the first pair that is not two ints, repeats a node or drives one again; a repeated int means one does."""
+    """Name the first pair that repeats a node or drives one again, up to the first that is not two ints."""
     driven: set[int] = set()
     for pair in on:
-        if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_index, pair)):
-            raise ValidationError(f"{where}: pair {pair!r} must be a list of two node indices")
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_index, pair))):
+            return
         i, j = pair
         if i == j:
             raise ValidationError(f"{where}: pair {pair!r} repeats a node")

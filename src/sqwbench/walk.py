@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _is_index, _is_number
+from .errors import ValidationError, _is_index, _is_number, _not_finite
 from .graph import Graph, Tessellation, TessellationSet, validate_tessellation
 
 __all__ = [
@@ -55,8 +55,8 @@ class WalkConfig:
     def __post_init__(self):
         if not _is_number(self.theta):
             raise ValidationError(f"theta must be a number, got {self.theta!r}")
-        if not math.isfinite(self.theta):
-            raise ValidationError(f"theta must be finite, got {self.theta!r}")
+        if fault := _not_finite("theta", self.theta):
+            raise ValidationError(fault)
         if not _is_index(self.steps) or self.steps < 0:
             raise ValidationError(f"steps must be a non-negative integer, got {self.steps!r}")
         if self.convention not in (CONVENTION_ABSTRACT, CONVENTION_PHYSICAL):

@@ -132,6 +132,23 @@ class TestSolveMode:
             solve_mode(5e-4, -0.3, -0.3, mode_index, DEFAULT_PARAMS)
 
 
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda x: josephson_coefficient(x, DEFAULT_PARAMS), "flux_ratio"),
+        (lambda x: solve_mode(x, 0.0, 0.0, 1, DEFAULT_PARAMS), "chi_c"),
+        (lambda x: solve_mode(CHI_C, -0.3, x, 1, DEFAULT_PARAMS), "chi_l_right"),
+        (lambda x: pulse_duration(x, 1e9), "theta"),
+    ],
+    ids=["josephson_coefficient", "solve_mode-chi_c", "solve_mode-chi_l", "pulse_duration"],
+)
+def test_integer_beyond_float_range_is_not_finite(call, name):
+    # compared exactly, not converted to float, which would raise OverflowError
+    with pytest.raises(ValidationError) as info:
+        call(10**400)
+    assert str(info.value) == f"{name} must be finite, got {10**400}"
+
+
 class TestNormalizationAmplitude:
     def test_quoted_midpoint_amplitude(self):
         mode = solve_mode(CHI_C, -CHI_L_MAX, -CHI_L_MAX, 1, DEFAULT_PARAMS)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -301,13 +302,15 @@ class TestGreedyGraphFiles:
         for output, digest in zip(["distribution.csv", "run.json"], expected):
             assert hashlib.sha256((tmp_path / "out" / output).read_bytes()).hexdigest() == digest, f"{name}: {output}"
 
-    def test_k10_10_walks_and_compiles(self, tmp_path):
+    def test_k10_10_walks_and_compiles(self, tmp_path, capsys):
         # greedy needs 12 rounds for maximum degree 10 here: more than max_degree + 1
         graph_file = tmp_path / "k10_10.json"
         graph_file.write_text(complete_bipartite_json(10))
-        with pytest.warns(RuntimeWarning, match="^needed 12 tessellations for maximum degree 10$"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # greedy's warning is printed as a line, not raised out of main
             assert main(["walk", "--graph", str(graph_file), "--steps", "2", "--out", str(tmp_path / "w")]) == 0
             assert main(["schedule", "--graph", str(graph_file), "--out", str(tmp_path / "s")]) == 0
+        assert capsys.readouterr().err == "warning: needed 12 tessellations for maximum degree 10\n" * 2
         source = json.loads((tmp_path / "w" / "run.json").read_text())["tessellation_source"]
         assert source == f"file+greedy:{graph_file}"
         g, _ = graph_from_json(graph_file.read_text())
@@ -458,8 +461,12 @@ class TestCircuitCommand:
                 1e300,
                 "chi_c = junction_capacitance / (2 * half_length * cap_per_length) must be finite, got inf",
             ),
+            # integers are compared exactly, not converted to float, which would raise OverflowError
+            ("cap_per_length", 10**400, f"cap_per_length must be a positive finite number, got {10**400}"),
+            ("flux_quantum", 10**200, f"flux_quantum**2 must be a positive finite number, got {10**400}"),
         ],
-        ids=["flux-overflow", "flux-underflow", "lc-underflow", "lc-chi-underflow", "chi-l-overflow", "chi-c-overflow"],
+        ids=["flux-overflow", "flux-underflow", "lc-underflow", "lc-chi-underflow", "chi-l-overflow", "chi-c-overflow",
+             "int-field-overflow", "int-flux-squared-overflow"],
     )
     def test_product_out_of_float_range_is_domain_error(self, tmp_path, capsys, command, field, value, message):
         # finite positive fields whose product, a divisor in the circuit formulas, leaves the float range

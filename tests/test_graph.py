@@ -514,17 +514,11 @@ class TestGreedyTessellate:
         assert validate_tessellation_set(g, ts) == []
 
     def test_random_graphs_within_degree_bound(self):
+        # greedy promises 2 * max_degree - 1 rounds (see TestGreedyRoundBound), not max_degree + 1
         rng = random.Random(20240814)
         for trial in range(60):
             n = rng.randint(2, 24)
-            g = random_tree(rng, n) if trial % 2 else random_triangle_free(rng, n)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                ts = greedy_tessellate(g)
-            assert validate_tessellation_set(g, ts) == []
-            assert len(ts) <= g.max_degree() + 1
-            covered = {tuple(p) for t in ts for p in t.pairs.tolist()}
-            assert covered == set(g.edges)
+            tessellate_within_bound(random_tree(rng, n) if trial % 2 else random_triangle_free(rng, n))
 
 
 def petersen_graph():

@@ -479,6 +479,10 @@ class TestWireFormat:
             ({"intervals": [{"idx": "0", "on": []}]}, "interval idx must be an integer, got '0'"),
             ({"intervals": [{"idx": True, "on": []}]}, "interval idx must be an integer, got True"),
             ({"intervals": [{"idx": 1.0, "on": []}]}, "interval idx must be an integer, got 1.0"),
+            # the version is an integer, checked before the version 2 "patterns" key
+            ({"version": True}, "unsupported schedule schema version True"),
+            ({"version": 1.0}, "unsupported schedule schema version 1.0"),
+            ({"version": 2.0}, "unsupported schedule schema version 2.0"),
         ],
     )
     def test_bad_field_named(self, fields, message):

@@ -493,7 +493,7 @@ class TestWalkConfig:
         with pytest.raises(ValidationError, match="^theta must be a number, got "):
             WalkConfig(theta=theta)
 
-    @pytest.mark.parametrize("theta", [float("inf"), -float("inf"), float("nan")])
+    @pytest.mark.parametrize("theta", [float("inf"), -float("inf"), float("nan"), 10**400])
     def test_theta_must_be_finite(self, theta):
         with pytest.raises(ValidationError, match="^theta must be finite, got "):
             WalkConfig(theta=theta)
