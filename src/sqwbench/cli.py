@@ -12,7 +12,8 @@ import math
 import re
 import sys
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterable
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,6 @@ from .circuit import (
     chi_from_params,
     couplings,
     josephson_coefficient,
-    max_chi_l,
     solve_mode,
     solve_operating_point,
 )
@@ -148,10 +148,10 @@ def _ensure_writable(paths, force: bool) -> None:
             raise ValidationError(f"{path} already exists; pass --force to overwrite")
 
 
-def _guarded_write(path: Path, texts: Sequence[str], force: bool) -> None:
+def _guarded_write(path: Path, texts: Iterable[str], force: bool) -> None:
     """Write the concatenation of ``texts`` to ``path``, each text in ``_WRITE_SLICE`` slices, never joined.
 
-    A text may be made as it is read, so reading one can fail midway; the partial file is then removed.
+    The texts may be made as they are read, so making one can fail midway; the partial file is then removed.
     """
     _ensure_writable([path], force)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -203,6 +203,13 @@ def cmd_walk(args) -> int:
     return 0
 
 
+def _mode_columns(mode, chi_c: float, chi_l: float) -> dict[str, float]:
+    """Columns report.json and sweep.csv share, in file order: ``mode``, then its link's couplings at chi_c, chi_l."""
+    link = couplings(mode, mode, chi_c, chi_l)
+    names = ("kL", "omega_rad_s", "A", "kappa_cap", "kappa_ind", "kappa_total")
+    return dict(zip(names, (mode.kl, mode.omega, mode.amplitude, link.kappa_cap, link.kappa_ind, link.kappa_total)))
+
+
 def cmd_circuit(args) -> int:
     if args.sweep < 0:
         raise _UsageError(f"--sweep must be non-negative, got {args.sweep}")
@@ -221,44 +228,19 @@ def cmd_circuit(args) -> int:
         ) from None
     # an unusable --theta must fail before any file is written
     tau = _interval_length(args.theta, operating)
-    all_on = couplings(operating.mode_all_on, operating.mode_all_on, operating.chi_c, -operating.chi_l_max)
-    report = {
-        "kL": operating.mode_all_on.kl,
-        "omega_rad_s": operating.mode_all_on.omega,
-        "A": operating.mode_all_on.amplitude,
-        "kappa_cap": all_on.kappa_cap,
-        "kappa_ind": all_on.kappa_ind,
-        "kappa_total": all_on.kappa_total,
-        "flux_on": operating.flux_on,
-        "flux_off": operating.flux_off,
-    }
+    columns = _mode_columns(operating.mode_all_on, operating.chi_c, -operating.chi_l_max)
+    report = {**columns, "flux_on": operating.flux_on, "flux_off": operating.flux_off}
     _guarded_write(out / "report.json", [dumps_17g(report) + "\n"], args.force)
 
-    if args.sweep > 0:
-        rows = ["flux_ratio,chi_l,kL,omega_rad_s,A,kappa_cap,kappa_ind,kappa_total"]
-        chi_lm = max_chi_l(params)
-        for k in range(args.sweep + 1):
-            flux_ratio = k / args.sweep
-            chi = chi_from_params(params, josephson_coefficient(flux_ratio, params))
-            # swept link between two resonators whose other neighbor stays driven on
-            mode = solve_mode(chi.chi_c, -chi_lm, chi.chi_l, 1, params)
-            link = couplings(mode, mode, chi.chi_c, chi.chi_l)
-            rows.append(
-                ",".join(
-                    fmt17(v)
-                    for v in (
-                        flux_ratio,
-                        chi.chi_l,
-                        mode.kl,
-                        mode.omega,
-                        mode.amplitude,
-                        link.kappa_cap,
-                        link.kappa_ind,
-                        link.kappa_total,
-                    )
-                )
-            )
-        _guarded_write(out / "sweep.csv", ["\n".join(rows) + "\n"], args.force)
+    def sweep_row(flux_ratio: float) -> str:
+        chi = chi_from_params(params, josephson_coefficient(flux_ratio, params))
+        # swept link between two resonators whose other neighbor stays driven on
+        mode = solve_mode(chi.chi_c, -operating.chi_l_max, chi.chi_l, 1, params)
+        return ",".join(map(fmt17, (flux_ratio, chi.chi_l, *_mode_columns(mode, chi.chi_c, chi.chi_l).values()))) + "\n"
+
+    if args.sweep > 0:  # each row is solved as it is written, so no text of the whole file is held
+        rows = (sweep_row(k / args.sweep) for k in range(args.sweep + 1))
+        _guarded_write(out / "sweep.csv", chain([",".join(["flux_ratio", "chi_l", *columns]) + "\n"], rows), args.force)
 
     print(
         f"feasibility: driven coupling {operating.coupling_on.kappa_total:.6g} rad/s; "

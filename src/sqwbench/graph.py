@@ -376,7 +376,10 @@ def generate_lattice_tessellations(dims) -> tuple[Graph, TessellationSet]:
         raise ValidationError(f"lattice dimensions must be integers, got {dims}")
     if any(d < 1 for d in dims):
         raise ValidationError(f"lattice dimensions must be >= 1, got {dims}")
-    nodes = np.arange(math.prod(dims), dtype=np.intp).reshape(dims)
+    try:
+        nodes = np.arange(math.prod(dims), dtype=np.intp).reshape(dims)
+    except (ValueError, OverflowError):  # numpy refuses to size 2**60 nodes or more, past any address space
+        raise MemoryError(f"cannot allocate a lattice of {math.prod(dims)} nodes") from None
     parity = sum(np.ix_(*(np.arange(d) for d in dims))) % 2
 
     axis_pairs = []

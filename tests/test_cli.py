@@ -226,6 +226,22 @@ class TestWalkCommand:
         assert main(["walk", "--path", "5", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: out of memory")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["walk", "--path", str(2**60)],
+            ["walk", "--path", str(2**63 - 1)],
+            ["walk", "--lattice", "3037000500,3037000500"],
+            ["schedule", "--path", str(2**62)],
+        ],
+    )
+    def test_size_numpy_cannot_allocate_is_out_of_memory(self, tmp_path, capsys, argv):
+        # numpy refuses these node arrays before it allocates anything (2**58 and 2**59 fail in malloc instead)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: out of memory; reduce the graph size or --steps\n"
+        assert not out.exists()
+
 
 def per_cell_csv(g, ts, theta, steps, convention):
     """distribution.csv built cell by cell: one fmt17 call per probability."""
@@ -699,6 +715,35 @@ class TestFileWrites:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_circuit_sweep_heap_peak_is_under_half_the_csv(self, tmp_path):
+        # each sweep row is solved as it is written: 0.32x here; building every row first made this 3.6x
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            assert main(["circuit", "--sweep", "5000", "--out", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 0.5 * (tmp_path / "sweep.csv").stat().st_size
+
+    def test_failed_sweep_row_keeps_report_and_leaves_no_sweep(self, tmp_path, monkeypatch, capsys):
+        solve = sqwbench.cli.solve_mode
+        calls = []
+
+        def failing_at_the_third(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise NumericError("mode equation root did not converge")
+            return solve(*args)
+
+        monkeypatch.setattr(sqwbench.cli, "solve_mode", failing_at_the_third)
+        assert main(["circuit", "--sweep", "8", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "numeric failure: mode equation root did not converge\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
+
     def test_sliced_write_matches_write_text(self, tmp_path):
         size = sqwbench.cli._WRITE_SLICE
         chars = list("step,node\n" * (size // 4))
@@ -717,6 +762,38 @@ class TestFileWrites:
             sqwbench.cli._guarded_write(tmp_path / "sliced" / name, texts, force=False)
             (tmp_path / name).write_text("".join(texts))
             assert (tmp_path / "sliced" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+class TestReadmeExamples:
+    DIGESTS = {
+        "circuit/report.json": "40a75beea24dd2e4cf89879d6d251684f90ce7222c2d7e02fe592c61e67fa7fc",
+        "circuit/sweep.csv": "503e34c39c1fd8951de38d43e298c5fa5318b58fa298f9de5d71e0ccbfed7f14",
+        "custom/distribution.csv": "e575b11601528ac5a8e1a7a706124705a137a9b544f39b4682800540f779f932",
+        "custom/run.json": "bcf8bdaa36b76c8ed54d515a32c44311fae90cfbfa0cf6395d4a019b0a0e8819",
+        "lattice/distribution.csv": "9cddf2f8bbfe0eb9e9113509977751015112d70bc9246d2004d0b696b29c5307",
+        "lattice/run.json": "864117a3159833fedc47f1732e2da5145787e107c2741f3aab3595f145036d72",
+        "line/distribution.csv": "ec9ec1e44cb84a76e74a5d494cf03712c89ddbbc588dfa2c1a3a2aeabcda4b3b",
+        "line/distribution.svg": "7b6ecd866bff3f6577a0ca0a8f9f61ab92507917094f1985f9e86600a72a29c4",
+        "line/run.json": "8941290a17eb2d79c1f16ecc540257dc3f85390dc4c408e6a3a643c93dae9542",
+        "sched/schedule.json": "a321322430f83d4b4137e31e192a4f9f8905528d2b3b8b5b49107b14c361e1a0",
+    }
+
+    def test_outputs_are_pinned(self, tmp_path, monkeypatch):
+        # the five commands of the README's CLI section, as written there; run.json records the graph file's path
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "mygraph.json").write_bytes((DATA / "graph_bipartite7.json").read_bytes())
+        for command in [
+            "walk --path 133 --theta pi/3 --steps 32 --start 66 --out runs/line --svg",
+            "walk --lattice 3,3 --steps 8 --out runs/lattice",
+            "walk --graph mygraph.json --theta 0.9 --steps 5 --out runs/custom",
+            "circuit --sweep 24 --out runs/circuit",
+            "schedule --path 5 --theta pi/3 --steps 1 --out runs/sched",
+        ]:
+            assert main(command.split()) == 0, command
+        runs = tmp_path / "runs"
+        assert sorted(p.relative_to(runs).as_posix() for p in runs.rglob("*") if p.is_file()) == sorted(self.DIGESTS)
+        for name, digest in self.DIGESTS.items():
+            assert hashlib.sha256((runs / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestHelp:

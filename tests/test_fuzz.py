@@ -1,7 +1,8 @@
 """Fuzz gate: mutated graph, parameter and schedule JSON and mutated argv end in a clean exit, never a traceback.
 
 Every case is small: node counts stay at most 10**4 or are at least 2**62, where allocation fails at once; --path
-and lattice sizes stay at most 10**4, and --steps and --sweep at most 50.
+and lattice sizes stay at most 10**4 or are at least 2**60, which numpy refuses to size before it allocates anything,
+and --steps and --sweep stay at most 50.
 """
 
 import copy
@@ -39,6 +40,7 @@ ARGS = st.sampled_from(
     ]
 )
 LIMITS = {"--path": 10**4, "--steps": 50, "--sweep": 50, "--lattice": 10**4}  # the largest size each option may ask
+REFUSED = {"--path": 2**60, "--lattice": 2**60}  # the smallest node count numpy refuses to size, which is drawn too
 
 GRAPH = {"nodes": 6, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]]}
 TESSELLATIONS = [[[0, 1], [2, 3], [4, 5]], [[0], [1, 2], [3, 4], [5]]]
@@ -81,14 +83,15 @@ def mutate(data, obj, label):
 
 
 def within_limits(option, text):
-    """False for a size above the option's limit in LIMITS; text that is no size is left to the parser."""
+    """False for a size above the option's LIMITS and below its REFUSED; text that is no size is left to the parser."""
     if option not in LIMITS:
         return True
     try:
         sizes = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         return True
-    return math.prod(max(size, 1) for size in sizes) <= LIMITS[option]
+    total = math.prod(max(size, 1) for size in sizes)
+    return total <= LIMITS[option] or total >= REFUSED.get(option, math.inf)
 
 
 @settings(derandomize=True, database=None, max_examples=500, deadline=None)
