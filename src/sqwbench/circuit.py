@@ -375,17 +375,21 @@ def solve_operating_point(params: CircuitParams) -> OperatingPoint:
     chi_lm = abs(pair.chi_l)
     mode_all_on = solve_mode(chi_c, -chi_lm, -chi_lm, 1, params)
     kl = mode_all_on.kl
-    for _ in range(80):  # a safety bound; a few iterations converge
-        solve_flux_off(chi_c, kl, chi_lm)  # raises UnreachableFluxError once the off point is out of reach
-        mode_operating = solve_mode(chi_c, -chi_lm, 4.0 * chi_c * kl * kl, 1, params)
-        converged = abs(mode_operating.kl - kl) < 1e-13
-        kl = mode_operating.kl
-        if converged:
-            break
-    else:
-        raise NumericError("operating-point iteration did not converge")
+    try:
+        for _ in range(80):  # a safety bound; a few iterations converge
+            solve_flux_off(chi_c, kl, chi_lm)  # raises UnreachableFluxError once the off point is out of reach
+            mode_operating = solve_mode(chi_c, -chi_lm, 4.0 * chi_c * kl * kl, 1, params)
+            converged = abs(mode_operating.kl - kl) < 1e-13
+            kl = mode_operating.kl
+            if converged:
+                break
+        else:
+            raise NumericError("operating-point iteration did not converge")
+        flux_off = solve_flux_off(chi_c, kl, chi_lm)
+    except UnreachableFluxError as exc:
+        required = params.josephson_energy * exc.required_energy_scale
+        raise UnreachableFluxError(f"{exc} (required E_J >= {required:.6g} J)", exc.required_energy_scale) from None
     chi_off = 4.0 * chi_c * kl * kl
-    flux_off = solve_flux_off(chi_c, kl, chi_lm)
     return OperatingPoint(
         chi_c=chi_c,
         chi_l_max=chi_lm,

@@ -28,7 +28,7 @@ from .circuit import (
     solve_mode,
     solve_operating_point,
 )
-from .errors import NumericError, UnreachableFluxError, ValidationError, _load_json
+from .errors import NumericError, ValidationError, _load_json
 from .graph import (
     generate_lattice_tessellations,
     generate_path_tessellations,
@@ -37,6 +37,7 @@ from .graph import (
 )
 from .schedule import (
     PulseSchedule,
+    _budget_text,
     _interval_length,
     compile_schedule,
     emit_schedule,
@@ -153,9 +154,8 @@ def _guarded_write(path: Path, texts: Iterable[str], force: bool) -> None:
 
     The texts may be made as they are read, so making one can fail midway; the partial file is then removed.
     """
-    _ensure_writable([path], force)
     path.parent.mkdir(parents=True, exist_ok=True)
-    f = path.open("w")
+    f = path.open("w" if force else "x")  # each command checks first; "x" refuses a file made since that check
     try:
         with f:
             for text in texts:
@@ -218,14 +218,7 @@ def cmd_circuit(args) -> int:
     _ensure_writable(targets, args.force)
 
     params = _load_params(args.params)
-    try:
-        operating = solve_operating_point(params)
-    except UnreachableFluxError as exc:
-        required = params.josephson_energy * (exc.required_energy_scale or math.inf)
-        raise UnreachableFluxError(
-            f"{exc} (required E_J >= {required:.6g} J)",
-            required_energy_scale=exc.required_energy_scale,
-        ) from None
+    operating = solve_operating_point(params)
     # an unusable --theta must fail before any file is written
     tau = _interval_length(args.theta, operating)
     columns = _mode_columns(operating.mode_all_on, operating.chi_c, -operating.chi_l_max)
@@ -244,13 +237,14 @@ def cmd_circuit(args) -> int:
 
     print(
         f"feasibility: driven coupling {operating.coupling_on.kappa_total:.6g} rad/s; "
-        f"interval tau = {tau:.6g} s at theta = {args.theta:.6g} vs 0.1 us switching budget"
+        f"interval tau = {tau:.6g} s at theta = {args.theta:.6g} vs {_budget_text()}"
     )
     _print_feasibility(PulseSchedule(tau, operating.flux_on, operating.flux_off, 0, ()))
     return 0
 
 
 def cmd_schedule(args) -> int:
+    _ensure_writable([Path(args.out) / "schedule.json"], args.force)
     g, ts, _ = _resolve_graph(args)
     params = _load_params(args.params)
     with warnings.catch_warnings():
@@ -270,7 +264,7 @@ def cmd_schedule(args) -> int:
 
 def _print_feasibility(schedule: PulseSchedule) -> None:
     """The schedule's hardware-budget verdict, one ``feasibility:`` line per note."""
-    for note in feasibility_notes(schedule) or ["interval fits the 0.1 us switching budget"]:
+    for note in feasibility_notes(schedule) or [f"interval fits the {_budget_text()}"]:
         print(f"feasibility: {note}")
 
 
@@ -331,11 +325,9 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError:
-        print("error: out of memory; reduce the graph size or --steps", file=sys.stderr)
+    except (ValidationError, OSError, MemoryError) as exc:
+        message = "out of memory; reduce the graph size or --steps" if isinstance(exc, MemoryError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -342,8 +342,8 @@ def validate_tessellation_set(g: Graph, ts: TessellationSet) -> list[str]:
         violations.extend(f"tessellation {k}: {msg}" for msg in _violations(g, t, rows))
         covered[rows[rows >= 0]] = True
     if not covered.all():
-        uncovered = np.flatnonzero(~covered).tolist()
-        violations.append(f"edges {[g.edges[k] for k in uncovered]} are not covered by any tessellation")
+        uncovered = list(map(tuple, g.edge_array[~covered].tolist()))
+        violations.append(f"edges {uncovered} are not covered by any tessellation")
     return violations
 
 
@@ -471,7 +471,7 @@ def _greedy_matching(pairs: np.ndarray, order: np.ndarray) -> np.ndarray:
 
 def graph_to_json(g: Graph, ts: TessellationSet | None = None) -> str:
     """Serialize a graph (and optional tessellations) to the JSON wire format."""
-    payload: dict = {"nodes": g.node_count, "edges": [list(e) for e in g.edges]}
+    payload: dict = {"nodes": g.node_count, "edges": g.edge_array.tolist()}
     if ts is not None:
         payload["tessellations"] = [[list(el) for el in t.elements] for t in ts]
     return json.dumps(payload, indent=2) + "\n"

@@ -41,6 +41,10 @@ SCHEDULE_SCHEMA_VERSION = 2
 SWITCHING_BUDGET_SECONDS = 1e-7
 
 
+def _budget_text() -> str:  # as every feasibility line names it: "0.1 us switching budget"
+    return f"{SWITCHING_BUDGET_SECONDS * 1e6:g} us switching budget"
+
+
 @dataclass(frozen=True)
 class PulseInterval:
     """One interval: the SQUID edges driven at the on-flux, a read-only ``(p, 2)`` intp array in the order given.
@@ -182,7 +186,7 @@ def feasibility_notes(s: PulseSchedule) -> list[str]:
     notes = []
     if 0.0 < s.tau_seconds < SWITCHING_BUDGET_SECONDS:
         notes.append(
-            f"interval length {s.tau_seconds:.4g} s is below the 0.1 us switching budget; "
+            f"interval length {s.tau_seconds:.4g} s is below the {_budget_text()}; "
             "flux pulses cannot settle within one interval"
         )
     return notes

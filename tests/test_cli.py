@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from sqwbench.schedule import parse_schedule, validate_schedule
 from sqwbench.walk import WalkConfig, evolve, initial_basis_state, probability_distribution
 
 DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"  # the bytes TestReadmeExamples pins, kept to name a mismatch's first differing line
 
 
 def read_csv(path):
@@ -200,11 +202,24 @@ class TestWalkCommand:
     def test_missing_file_is_domain_error(self, tmp_path):
         assert main(["walk", "--graph", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
-    def test_node_count_beyond_index_range_is_domain_error(self, tmp_path, capsys):
-        graph_file = tmp_path / "huge.json"
-        graph_file.write_text(json.dumps({"nodes": 2**70, "edges": [[0, 1]]}))
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ({"nodes": 2**70, "edges": [[0, 1]]}, f"node_count must be at most {np.iinfo(np.intp).max}, got {2**70}"),
+            # a parameter file given as the graph: its 400-digit integer is never converted to float
+            (
+                {**dataclasses.asdict(DEFAULT_PARAMS), "cap_per_length": 10**400},
+                'graph JSON needs "nodes" and "edges" keys',
+            ),
+        ],
+        ids=["node-count-2**70", "parameter-file-400-digits"],
+    )
+    def test_bad_graph_file_is_one_line_domain_error(self, tmp_path, capsys, payload, message):
+        graph_file = tmp_path / "graph.json"
+        graph_file.write_text(json.dumps(payload))
         assert main(["walk", "--graph", str(graph_file), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == f"error: node_count must be at most {np.iinfo(np.intp).max}, got {2**70}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_observer_sums_no_norm(self, tmp_path, monkeypatch):
         # evolve checks the state on exit, so the per-step distributions skip probability_distribution's norm sum
@@ -375,19 +390,37 @@ class TestCircuitCommand:
         assert int(np.sum(np.diff(np.sign(totals)) != 0)) == 1
 
     def test_unreachable_off_flux_names_required_energy(self, tmp_path, capsys):
-        params = {
-            "cap_per_length": 1e-10,
-            "ind_per_length": 2.5e-7,
-            "half_length": 1e-2,
-            "junction_capacitance": 1e-15,
-            "josephson_energy": 1e-28,
-        }
         params_file = tmp_path / "weak.json"
-        params_file.write_text(json.dumps(params))
-        code = main(["circuit", "--params", str(params_file), "--out", str(tmp_path)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "required E_J" in err
+        params_file.write_text(json.dumps({**dataclasses.asdict(DEFAULT_PARAMS), "josephson_energy": 1e-26}))
+        errs = []
+        for command in (["circuit"], ["schedule", "--path", "5"]):
+            assert main([*command, "--params", str(params_file), "--out", str(tmp_path / "out")]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs == [
+            "error: zero-coupling point needs chi_l = 0.0196586 but the junction only reaches 0.000461605; the "
+            "Josephson energy would have to grow by a factor 42.59 (required E_J >= 4.25876e-25 J)\n"
+        ] * 2
+        assert not (tmp_path / "out").exists()
+
+    BELOW = "interval length 9.853e-10 s is below the {}; flux pulses cannot settle within one interval"
+
+    @pytest.mark.parametrize(
+        "budget,shown,verdict",
+        [(1e-7, "0.1", BELOW), (2.5e-7, "0.25", BELOW), (1e-10, "0.0001", "interval fits the {}")],  # tau = 9.85e-10 s
+        ids=["0.1us", "0.25us", "0.0001us"],
+    )
+    def test_switching_budget_text_follows_the_constant(self, tmp_path, monkeypatch, capsys, budget, shown, verdict):
+        # the stdout of circuit and schedule --path 5 at the stock parameters and theta = pi/3
+        monkeypatch.setattr(sqwbench.schedule, "SWITCHING_BUDGET_SECONDS", budget)
+        assert main(["circuit", "--out", str(tmp_path / "c")]) == 0
+        assert main(["schedule", "--path", "5", "--out", str(tmp_path / "s")]) == 0
+        verdict = verdict.format(f"{shown} us switching budget")
+        assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("feasibility: ")] == [
+            "feasibility: driven coupling 1.06286e+09 rad/s; interval tau = 9.85264e-10 s at theta = 1.0472 vs "
+            f"{shown} us switching budget",
+            f"feasibility: {verdict}",
+            f"feasibility: {verdict}",
+        ]
 
     @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
     def test_non_finite_theta_writes_nothing(self, tmp_path, capsys, theta):
@@ -541,8 +574,12 @@ class TestUndecodableJson:
     @pytest.mark.parametrize("fault", UNDECODABLE)
     @pytest.mark.parametrize(
         "argv,what",
-        [(["walk", "--graph"], "graph JSON"), (["circuit", "--params"], "parameter JSON in {}")],
-        ids=["walk-graph", "circuit-params"],
+        [
+            (["walk", "--graph"], "graph JSON"),
+            (["circuit", "--params"], "parameter JSON in {}"),
+            (["schedule", "--path", "5", "--params"], "parameter JSON in {}"),
+        ],
+        ids=["walk-graph", "circuit-params", "schedule-params"],
     )
     def test_cli_exits_2_and_writes_nothing(self, tmp_path, capsys, argv, what, fault):
         source = tmp_path / "input.json"
@@ -598,8 +635,9 @@ class TestNonUtf8Input:
             (["walk", "--graph"], "graph file"),
             (["schedule", "--graph"], "graph file"),
             (["circuit", "--params"], "parameter file"),
+            (["schedule", "--path", "5", "--params"], "parameter file"),
         ],
-        ids=["walk-graph", "schedule-graph", "circuit-params"],
+        ids=["walk-graph", "schedule-graph", "circuit-params", "schedule-params"],
     )
     def test_cli_exits_2_and_writes_nothing(self, tmp_path, capsys, argv, what):
         source = tmp_path / "input.json"
@@ -627,6 +665,15 @@ class TestScheduleCommand:
         err = capsys.readouterr().err
         assert err == "validation: interval 0: stand-in violation\nerror: compiled schedule failed validation\n"
         assert not (tmp_path / "schedule.json").exists()
+
+    def test_existing_schedule_refused_before_compiling(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(sqwbench.cli, "compile_schedule", lambda *args: calls.append(args))
+        existing = tmp_path / "schedule.json"
+        existing.write_text("kept")
+        assert main(["schedule", "--path", "5", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {existing} already exists; pass --force to overwrite\n"
+        assert calls == [] and existing.read_text() == "kept"
 
     def test_zero_steps_schedule(self, tmp_path):
         assert main(["schedule", "--path", "5", "--steps", "0", "--out", str(tmp_path)]) == 0
@@ -744,6 +791,16 @@ class TestFileWrites:
         assert capsys.readouterr().err == "numeric failure: mode equation root did not converge\n"
         assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
 
+    def test_write_without_force_never_replaces_a_file(self, tmp_path):
+        # a file made after the command checked its targets, by another run say: an OSError, so exit 2
+        path = tmp_path / "made-meanwhile.csv"
+        path.write_text("kept")
+        with pytest.raises(FileExistsError):
+            sqwbench.cli._guarded_write(path, ["new"], force=False)
+        assert path.read_text() == "kept"
+        sqwbench.cli._guarded_write(path, ["new"], force=True)
+        assert path.read_text() == "new"
+
     def test_sliced_write_matches_write_text(self, tmp_path):
         size = sqwbench.cli._WRITE_SLICE
         chars = list("step,node\n" * (size // 4))
@@ -764,8 +821,31 @@ class TestFileWrites:
             assert (tmp_path / "sliced" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
+def first_difference(name: str, data: bytes) -> str:
+    """``name``, its first line and byte that differ from the golden copy, and 80 bytes of each line around that."""
+    pairs = zip_longest((GOLDEN / name).read_bytes().splitlines(True), data.splitlines(True), fillvalue=b"")
+    number, (want, got) = next((k, pair) for k, pair in enumerate(pairs, 1) if pair[0] != pair[1])
+    column = next((k for k, (a, b) in enumerate(zip(want, got)) if a != b), min(len(want), len(got)))
+    shown = slice(max(column - 40, 0), max(column - 40, 0) + 80)
+    return f"{name}: line {number}, byte {column + 1}: expected {want[shown]!r}, got {got[shown]!r}"
+
+
 class TestReadmeExamples:
+    # the five commands of the README's CLI section, as written there, then three more
+    COMMANDS = [
+        "walk --path 133 --theta pi/3 --steps 32 --start 66 --out runs/line --svg",
+        "walk --lattice 3,3 --steps 8 --out runs/lattice",
+        "walk --graph mygraph.json --theta 0.9 --steps 5 --out runs/custom",
+        "circuit --sweep 24 --out runs/circuit",
+        "schedule --path 5 --theta pi/3 --steps 1 --out runs/sched",
+        "walk --lattice 7,5 --convention abstract --theta 0.9 --steps 9 --out runs/abstract",
+        "walk --path 3 --theta=-0 --out runs/minus0",
+        "schedule --lattice 100,100 --steps 5 --out runs/sched100",
+    ]
+    # sha256 of each output; tests/data/golden holds the same bytes, so that a mismatch can name its first line
     DIGESTS = {
+        "abstract/distribution.csv": "42a0b255bdb7844da811355a2df4e4c30ae3ecd7fcb95a7848e2bf19d8a92e01",
+        "abstract/run.json": "c54d1e3f6178274956060cbff0fc37590aa0d8a5e473125e98608cc8e8d99359",
         "circuit/report.json": "40a75beea24dd2e4cf89879d6d251684f90ce7222c2d7e02fe592c61e67fa7fc",
         "circuit/sweep.csv": "503e34c39c1fd8951de38d43e298c5fa5318b58fa298f9de5d71e0ccbfed7f14",
         "custom/distribution.csv": "e575b11601528ac5a8e1a7a706124705a137a9b544f39b4682800540f779f932",
@@ -775,25 +855,40 @@ class TestReadmeExamples:
         "line/distribution.csv": "ec9ec1e44cb84a76e74a5d494cf03712c89ddbbc588dfa2c1a3a2aeabcda4b3b",
         "line/distribution.svg": "7b6ecd866bff3f6577a0ca0a8f9f61ab92507917094f1985f9e86600a72a29c4",
         "line/run.json": "8941290a17eb2d79c1f16ecc540257dc3f85390dc4c408e6a3a643c93dae9542",
+        "minus0/distribution.csv": "d5e8a958a8e80125c153176d80961f5e8133d7f96084fd4c7b26a0aec85bf2c9",
+        "minus0/run.json": "9ad297dc60d4d3fd150a8075b659b07d3c68444939ce03b62d34a2bfacafe6da",
         "sched/schedule.json": "a321322430f83d4b4137e31e192a4f9f8905528d2b3b8b5b49107b14c361e1a0",
+        "sched100/schedule.json": "df18c97a026c96218b9db67c30932678ea981b944ce4ef80f3e38f92ed8a5095",
     }
 
     def test_outputs_are_pinned(self, tmp_path, monkeypatch):
-        # the five commands of the README's CLI section, as written there; run.json records the graph file's path
-        monkeypatch.chdir(tmp_path)
+        monkeypatch.chdir(tmp_path)  # run.json records the graph file's path as given
         (tmp_path / "mygraph.json").write_bytes((DATA / "graph_bipartite7.json").read_bytes())
-        for command in [
-            "walk --path 133 --theta pi/3 --steps 32 --start 66 --out runs/line --svg",
-            "walk --lattice 3,3 --steps 8 --out runs/lattice",
-            "walk --graph mygraph.json --theta 0.9 --steps 5 --out runs/custom",
-            "circuit --sweep 24 --out runs/circuit",
-            "schedule --path 5 --theta pi/3 --steps 1 --out runs/sched",
-        ]:
+        for command in self.COMMANDS:
             assert main(command.split()) == 0, command
         runs = tmp_path / "runs"
         assert sorted(p.relative_to(runs).as_posix() for p in runs.rglob("*") if p.is_file()) == sorted(self.DIGESTS)
         for name, digest in self.DIGESTS.items():
-            assert hashlib.sha256((runs / name).read_bytes()).hexdigest() == digest, name
+            assert hashlib.sha256((GOLDEN / name).read_bytes()).hexdigest() == digest, f"golden copy {name} changed"
+            data = (runs / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, first_difference(name, data)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (
+                lambda text: text.replace(b"0.48", b"0.49", 1),
+                """line 5, byte 18: expected b'  "flux_off": 0.4801264657214081,\\n', """
+                """got b'  "flux_off": 0.4901264657214081,\\n'""",
+            ),
+            (lambda text: text + b"\n", "line 13, byte 1: expected b'', got b'\\n'"),
+            (lambda text: text[:-1], "line 12, byte 2: expected b'}\\n', got b'}'"),
+        ],
+        ids=["changed", "line-added", "newline-dropped"],
+    )
+    def test_mismatch_names_the_first_differing_line(self, edit, message):
+        name = "sched/schedule.json"
+        assert first_difference(name, edit((GOLDEN / name).read_bytes())) == f"{name}: {message}"
 
 
 class TestHelp:

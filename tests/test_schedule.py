@@ -19,6 +19,8 @@ from sqwbench.graph import (
     build_graph,
     generate_lattice_tessellations,
     generate_path_tessellations,
+    graph_to_json,
+    validate_tessellation_set,
 )
 from sqwbench.oracle import brute_force_evolve
 from sqwbench.schedule import (
@@ -790,6 +792,13 @@ class TestSharedPatterns:
             fresh, _ = generate_lattice_tessellations((20, 20))
             assert validate_schedule(s, fresh) == expected
             assert "edges" not in vars(fresh)
+        # nor do the graph JSON writer and the uncovered-edge message; g's tuples give the expected text
+        fresh, _ = generate_lattice_tessellations((20, 20))
+        payload = {"nodes": 400, "edges": [list(e) for e in g.edges], "tessellations": [t.elements for t in ts]}
+        assert graph_to_json(fresh, ts) == json.dumps(payload, indent=2) + "\n"
+        uncovered = [e for e in g.edges if e in set(map(tuple, ts[3].pairs.tolist()))]
+        assert validate_tessellation_set(fresh, ts[:3]) == [f"edges {uncovered} are not covered by any tessellation"]
+        assert "edges" not in vars(fresh)
 
     def test_shared_bad_tuple_reported_for_each_interval(self):
         g, _ = generate_path_tessellations(5)
