@@ -96,8 +96,8 @@ class Graph:
     def __hash__(self):
         return hash((self.node_count, self.edge_array.tobytes()))
 
-    def __repr__(self):
-        return f"Graph(node_count={self.node_count!r}, edges={self.edges!r})"
+    def __repr__(self):  # from edge_array, so printing a graph does not cache its m edge tuples in ``edges``
+        return f"Graph(node_count={self.node_count!r}, edges={tuple(map(tuple, self.edge_array.tolist()))!r})"
 
     @cached_property
     def _ranks(self) -> tuple[np.ndarray, np.ndarray]:

@@ -90,7 +90,8 @@ def initial_basis_state(n: int, node: int) -> np.ndarray:
 
 
 class _Checked(np.ndarray):
-    """A view of a state that :func:`evolve` has checked; :func:`_as_state` passes it without summing |psi|^2."""
+    """A view of evolve's own working array: :func:`_as_state` passes it without summing |psi|^2,
+    and :func:`local_unitary` overwrites it instead of allocating a temporary."""
 
 
 def _as_state(state) -> np.ndarray:
@@ -114,17 +115,21 @@ def local_unitary(state, t: Tessellation, cfg: WalkConfig) -> np.ndarray:
     Returns cos(theta)*psi + i*sin(theta)*H psi, with H psi gathered
     through the tessellation's swap permutation; singletons get
     exp(i*theta) under the abstract convention and 1 under the physical one.
+    The input is never written, except evolve's own working array (a ``_Checked`` view),
+    which holds c*psi afterwards.
     """
+    owned = type(state) is _Checked
     psi = _as_state(state)
     partner = t._swaps(psi.shape[0])
     c = math.cos(cfg.theta)
     s = math.sin(cfg.theta)
+    kept = psi[t.singletons]
     out = psi[partner]  # i*s*H psi + c*psi in the gathered array, each product's operands in that order
     np.multiply(1j * s, out, out=out)
-    out += c * psi
+    out += np.multiply(c, psi, out=psi if owned else None)
     # H fixes singletons, so the formula gave them c*psi + i*s*psi; restore them, and for the
     # abstract phase take one in-place complex product, which can round differently from that sum
-    out[t.singletons] = psi[t.singletons]
+    out[t.singletons] = kept
     if cfg.convention == CONVENTION_ABSTRACT:
         out[t.singletons] *= complex(c, s)
     return out
@@ -137,7 +142,9 @@ def evolve(state, ts: TessellationSet, cfg: WalkConfig, graph: Graph, on_step=No
     The state is checked on entry and on exit, not on each kernel call: every step is unitary.
     ``on_step(l, psi)`` is called with the state after l full steps, l = 0 (the input array
     itself) to ``cfg.steps``; it must not modify ``psi`` (one that does is caught on exit at
-    the latest), and must copy it to keep it.
+    the latest), and must copy it to keep it: the kernel overwrites evolve's working array,
+    so a ``psi`` kept without a copy changes at the next step.  The input itself is copied
+    once, after ``on_step(0, ...)``, and never written.
     """
     psi = _as_state(state)
     if graph.node_count != psi.shape[0]:
@@ -145,10 +152,12 @@ def evolve(state, ts: TessellationSet, cfg: WalkConfig, graph: Graph, on_step=No
     tessellations = list(ts)
     for t in {id(t): t for t in tessellations}.values():  # each distinct object once, in first-use order
         hamiltonian_from_tessellation(graph, t)
-    for step in range(cfg.steps + 1):
-        if step:
-            for t in tessellations:
-                psi = local_unitary(psi.view(_Checked), t, cfg)
+    if on_step is not None:
+        on_step(0, psi)
+    psi = psi.copy()  # the working array, which local_unitary overwrites through its _Checked view
+    for step in range(1, cfg.steps + 1):
+        for t in tessellations:
+            psi = local_unitary(psi.view(_Checked), t, cfg)
         if on_step is not None:
             on_step(step, psi)
     return _as_state(psi)

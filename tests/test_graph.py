@@ -157,6 +157,10 @@ class TestBuildGraph:
         assert all(type(v) is int for edge in g.edges for v in edge)
         assert g.max_degree() == 2 and build_graph(3, []).max_degree() == 0
         assert repr(g) == "Graph(node_count=5, edges=((0, 1), (1, 2), (3, 4)))"
+        fresh = build_graph(5, [(0, 1), (3, 4), (1, 2)])
+        assert repr(fresh) == repr(g) and "edges" not in vars(fresh)  # printing caches no edge tuples
+        assert repr(build_graph(2, [(1, 0)])) == "Graph(node_count=2, edges=((0, 1),))"
+        assert repr(build_graph(2, [])) == "Graph(node_count=2, edges=())"
 
     def test_node_count_above_index_range_rejected(self):
         with pytest.raises(ValidationError, match="node_count must be at most"):

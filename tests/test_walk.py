@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -559,29 +560,34 @@ def reference_local_unitary(state, t, cfg):
     return out
 
 
-def greedy_bipartite_tessellations():
+def greedy_bipartite_walk():
     rng = random.Random(11)
     edges = {(i, 12 + j) for i in range(12) for j in range(12) if rng.random() < 0.3}
     # nodes 24..26 have no edges, so they are singletons in every tessellation
+    g = build_graph(27, sorted(edges))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return greedy_tessellate(build_graph(27, sorted(edges)))
+        return g, greedy_tessellate(g)
 
 
+KERNEL_WALKS = {
+    "path": generate_path_tessellations(11),
+    "lattice-3d": generate_lattice_tessellations((3, 4, 2)),
+    "greedy": greedy_bipartite_walk(),
+}
 KERNEL_TESSELLATIONS = {
-    "path": generate_path_tessellations(11)[1],
-    "lattice-3d": generate_lattice_tessellations((3, 4, 2))[1],
-    "greedy": greedy_bipartite_tessellations(),
+    **{name: ts for name, (_, ts) in KERNEL_WALKS.items()},
     "interior-singletons": TessellationSet(
         (Tessellation(((0, 3), (1,), (2, 5), (4,), (6,), (7, 9), (8,))), Tessellation(((4,), (2,), (0,), (1, 3))))
     ),
 }
+KERNEL_THETAS = [0.0, math.pi / 3, 0.9, 7 * math.pi / 24, -2.5]
 
 
 class TestKernelBits:
-    """local_unitary gives bit for bit what the pair-by-pair kernel gives."""
+    """local_unitary gives bit for bit what the pair-by-pair kernel gives, on a plain array and on evolve's own."""
 
-    @pytest.mark.parametrize("theta", [0.0, math.pi / 3, 0.9, 7 * math.pi / 24, -2.5])
+    @pytest.mark.parametrize("theta", KERNEL_THETAS)
     @pytest.mark.parametrize("convention", [CONVENTION_ABSTRACT, CONVENTION_PHYSICAL])
     @pytest.mark.parametrize("name", KERNEL_TESSELLATIONS)
     def test_same_bytes(self, name, convention, theta):
@@ -592,4 +598,65 @@ class TestKernelBits:
             for _ in range(3):
                 psi = rng.normal(size=n) + 1j * rng.normal(size=n)
                 psi /= np.linalg.norm(psi)
-                assert local_unitary(psi, t, cfg).tobytes() == reference_local_unitary(psi, t, cfg).tobytes()
+                before = psi.tobytes()
+                want = reference_local_unitary(psi, t, cfg).tobytes()
+                assert local_unitary(psi, t, cfg).tobytes() == want
+                assert psi.tobytes() == before  # a plain array is never written
+                assert local_unitary(psi.copy().view(walk._Checked), t, cfg).tobytes() == want
+
+    @pytest.mark.parametrize("theta", KERNEL_THETAS)
+    @pytest.mark.parametrize("convention", [CONVENTION_ABSTRACT, CONVENTION_PHYSICAL])
+    @pytest.mark.parametrize("name", KERNEL_WALKS)
+    def test_evolve_matches_a_chain_of_plain_calls(self, name, convention, theta):
+        # from a basis state, so most amplitudes start as exact zeros and the signs of zeros are compared too
+        g, ts = KERNEL_WALKS[name]
+        cfg = WalkConfig(theta, 6, convention)
+        psi = initial_basis_state(g.node_count, g.node_count // 2)
+        expected = psi
+        for _ in range(cfg.steps):
+            for t in ts:
+                expected = local_unitary(expected, t, cfg)
+        assert evolve(psi, ts, cfg, graph=g).tobytes() == expected.tobytes()
+        assert psi.tobytes() == initial_basis_state(g.node_count, g.node_count // 2).tobytes()
+
+
+class TestKernelMemory:
+    def test_evolve_holds_two_states_at_most(self):
+        # tracemalloc counts numpy's buffers wherever glibc places them; a c*psi temporary per kernel call makes three
+        g, ts = generate_lattice_tessellations((200, 200))
+        for t in ts:  # caches each partner array before the trace starts
+            hamiltonian_from_tessellation(g, t)
+        psi = initial_basis_state(g.node_count, 20100)
+        tracemalloc.start()
+        try:
+            evolve(psi, ts, WalkConfig(math.pi / 3, 3), graph=g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * psi.nbytes
+
+
+REVERSIBLE_WALKS = {
+    "path-41": generate_path_tessellations(41),
+    "lattice-7x5": generate_lattice_tessellations((7, 5)),
+    "lattice-6x6": generate_lattice_tessellations((6, 6)),
+    "lattice-3x4x2": generate_lattice_tessellations((3, 4, 2)),
+    "lattice-60x61": generate_lattice_tessellations((60, 61)),
+}
+
+
+class TestTimeReversal:
+    """exp(i*theta*H)^-1 = exp(-i*theta*H): -theta through the reversed tessellations undoes a walk with theta."""
+
+    @pytest.mark.parametrize("theta", [math.pi / 3, 0.9, -2.5])
+    @pytest.mark.parametrize("convention", [CONVENTION_ABSTRACT, CONVENTION_PHYSICAL])
+    @pytest.mark.parametrize("name", REVERSIBLE_WALKS)
+    def test_reversed_walk_returns_the_start(self, name, convention, theta):
+        g, ts = REVERSIBLE_WALKS[name]
+        rng = np.random.default_rng(3)
+        start = rng.normal(size=g.node_count) + 1j * rng.normal(size=g.node_count)
+        start /= np.linalg.norm(start)
+        there = evolve(start, ts, WalkConfig(theta, 10, convention), graph=g)
+        assert np.linalg.norm(there - start) > 0.5  # the walk moved the state
+        back = evolve(there, ts[::-1], WalkConfig(-theta, 10, convention), graph=g)
+        assert np.max(np.abs(back - start)) < 1e-13
