@@ -1,8 +1,9 @@
 """Command-line front end: walk runs, circuit reports, schedule compilation.
 
 Exit codes: 0 success, 1 usage error, 2 domain/validation error or out
-of memory, 3 numeric failure.  All emitted CSV/JSON files are
-byte-deterministic (floats at 17 significant digits).
+of memory, 3 numeric failure, 143 ended by SIGTERM (which leaves no
+partial file).  All emitted CSV/JSON files are byte-deterministic
+(floats at 17 significant digits).
 """
 
 from __future__ import annotations
@@ -10,7 +11,9 @@ from __future__ import annotations
 import argparse
 import math
 import re
+import signal
 import sys
+import threading
 import warnings
 from collections.abc import Iterable
 from itertools import chain
@@ -28,7 +31,7 @@ from .circuit import (
     solve_mode,
     solve_operating_point,
 )
-from .errors import NumericError, ValidationError, _load_json
+from .errors import NumericError, ValidationError, _collector_paused, _load_json
 from .graph import (
     generate_lattice_tessellations,
     generate_path_tessellations,
@@ -61,6 +64,14 @@ _WRITE_SLICE = 1 << 20  # characters per write, so no encoded copy of a whole fi
 
 class _UsageError(Exception):
     pass
+
+
+class _Terminated(BaseException):
+    """SIGTERM arrived while a command ran; raised where the program stands, so a partial file is removed."""
+
+
+def _on_sigterm(signum, frame):
+    raise _Terminated
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,6 +142,7 @@ def _read_utf8(path: str, what: str) -> str:
         raise ValidationError(f"{what} {path} is not UTF-8: {exc.reason} at byte offset {exc.start}") from None
 
 
+@_collector_paused
 def _load_params(path: str | None) -> CircuitParams:
     if path is None:
         return DEFAULT_PARAMS
@@ -317,9 +329,16 @@ def main(argv=None) -> int:
     for i in reversed(range(1, len(argv))):  # argparse would take a negative angle such as -pi/2 for a flag
         if argv[i - 1] == "--theta" and re.match(r"-[^-]", argv[i]):
             argv[i - 1 : i + 1] = [f"--theta={argv[i]}"]
+    # SIGTERM becomes an exception while a command runs, so _guarded_write's cleanup sees it as it sees SIGINT;
+    # only the main thread may set a handler, and the previous one is back on every exit
+    in_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _on_sigterm) if in_main else None
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except _Terminated:
+        print("error: terminated", file=sys.stderr)
+        return 128 + signal.SIGTERM
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -332,6 +351,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if in_main:  # None: a handler set outside Python, which cannot be put back; the default stands in for it
+            signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Exception types and input type rules shared across the package."""
 
+import functools
 import gc
 import json
 import sys
@@ -52,17 +53,33 @@ def _int_pairs(entries) -> list[int] | None:
     return flat if set(map(type, flat)) <= {int} else None
 
 
+def _collector_paused(fn):
+    """``fn`` with the cyclic collector paused for the whole call, the caller's collector state restored on every exit.
+
+    A reader decodes JSON and converts it under one pause: a decoded JSON value holds no reference cycle, so a
+    collection meanwhile frees nothing, and its frame, with the decoded value, is gone before the collector resumes.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def _load_json(text: str, what: str):
     """``json.loads(text)`` with the cyclic collector paused; each way it can fail is a one-line ValidationError that
-    names ``what``.  A decoded JSON value holds no reference cycle, so a collection during decoding frees nothing."""
-    enabled = gc.isenabled()
-    gc.disable()
+    names ``what``.  Each reader holds the pause on through its conversion too (see :func:`_collector_paused`)."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed {what} at byte offset {exc.pos}: {exc.msg}") from None
     except (ValueError, RecursionError) as exc:  # an integer past the int-string limit, or arrays nested too deep
         raise ValidationError(f"{what} cannot be decoded: {exc}") from None
-    finally:
-        if enabled:
-            gc.enable()

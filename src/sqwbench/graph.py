@@ -17,7 +17,7 @@ from itertools import chain, count, islice
 
 import numpy as np
 
-from .errors import ValidationError, _int_pairs, _is_index, _load_json
+from .errors import ValidationError, _collector_paused, _int_pairs, _is_index, _load_json
 
 __all__ = [
     "Graph",
@@ -477,6 +477,7 @@ def graph_to_json(g: Graph, ts: TessellationSet | None = None) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+@_collector_paused
 def graph_from_json(text: str) -> tuple[Graph, TessellationSet | None]:
     """Parse and validate the graph JSON wire format.
 

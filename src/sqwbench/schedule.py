@@ -17,7 +17,7 @@ import numpy as np
 
 from ._format import json_float
 from .circuit import CircuitParams, OperatingPoint, pulse_duration, solve_operating_point
-from .errors import ValidationError, _int_pairs, _is_index, _is_number, _load_json, _not_finite
+from .errors import ValidationError, _collector_paused, _int_pairs, _is_index, _is_number, _load_json, _not_finite
 from .graph import _MAX_INDEX, Graph, Tessellation, TessellationSet, _canonical_pairs, validate_tessellation_set
 from .walk import CONVENTION_PHYSICAL, WalkConfig, evolve
 
@@ -237,6 +237,7 @@ def emit_schedule(s: PulseSchedule) -> str:
     return _LAYOUT % (SCHEDULE_SCHEMA_VERSION, *map(json_float, header), s.repetitions, patterns, _dumps(entries))
 
 
+@_collector_paused
 def parse_schedule(text: str) -> PulseSchedule:
     """Parse and structurally validate the schedule JSON wire format, version 1 or 2.
 

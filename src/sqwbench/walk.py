@@ -91,7 +91,14 @@ def initial_basis_state(n: int, node: int) -> np.ndarray:
 
 class _Checked(np.ndarray):
     """A view of evolve's own working array: :func:`_as_state` passes it without summing |psi|^2,
-    and :func:`local_unitary` overwrites it instead of allocating a temporary."""
+    and :func:`local_unitary` overwrites it instead of allocating a temporary.
+
+    ``evolve`` sets ``window = (lo, hi, spare)`` on it: every amplitude outside ``[lo, hi)`` is +0.0+0.0j before
+    and after the call, so the kernel computes only inside that light cone, and gathers into ``spare``, evolve's
+    second state array, whose bytes outside the window are zero too.
+    """
+
+    window = None
 
 
 def _as_state(state) -> np.ndarray:
@@ -116,19 +123,28 @@ def local_unitary(state, t: Tessellation, cfg: WalkConfig) -> np.ndarray:
     through the tessellation's swap permutation; singletons get
     exp(i*theta) under the abstract convention and 1 under the physical one.
     The input is never written, except evolve's own working array (a ``_Checked`` view),
-    which holds c*psi afterwards.
+    which holds c*psi afterwards.  evolve sets its light-cone window on that view: the formula
+    then runs only inside the window, gathering into evolve's spare state, which is returned,
+    and amplitudes outside the window stay +0.0.
     """
     owned = type(state) is _Checked
+    window = state.window if owned else None
     psi = _as_state(state)
-    partner = t._swaps(psi.shape[0])
+    n = psi.shape[0]
+    partner = t._swaps(n)
+    lo, hi, out = window or (0, n, np.empty(n, dtype=complex))
     c = math.cos(cfg.theta)
     s = math.sin(cfg.theta)
     kept = psi[t.singletons]
-    out = psi[partner]  # i*s*H psi + c*psi in the gathered array, each product's operands in that order
-    np.multiply(1j * s, out, out=out)
-    out += np.multiply(c, psi, out=psi if owned else None)
-    # H fixes singletons, so the formula gave them c*psi + i*s*psi; restore them, and for the
-    # abstract phase take one in-place complex product, which can round differently from that sum
+    # i*s*H psi + c*psi in the gathered window, each product's operands in that order; mode="wrap" gathers
+    # straight into out (the default "raise" buffers it), and every partner index is in range anyway
+    gathered = np.take(psi, partner[lo:hi], out=out[lo:hi], mode="wrap")
+    np.multiply(1j * s, gathered, out=gathered)
+    gathered += np.multiply(c, psi[lo:hi], out=psi[lo:hi] if owned else None)
+    # H fixes singletons, so the formula gave them c*psi + i*s*psi; restore them, and for the abstract phase
+    # take one in-place complex product, which can round differently from that sum.  Both run on every
+    # singleton, in or out of the window: numpy's complex product rounds an element by where it falls in its
+    # SIMD loop, so a product over fewer elements can change the last bits
     out[t.singletons] = kept
     if cfg.convention == CONVENTION_ABSTRACT:
         out[t.singletons] *= complex(c, s)
@@ -145,19 +161,42 @@ def evolve(state, ts: TessellationSet, cfg: WalkConfig, graph: Graph, on_step=No
     the latest), and must copy it to keep it: the kernel overwrites evolve's working array,
     so a ``psi`` kept without a copy changes at the next step.  The input itself is copied
     once, after ``on_step(0, ...)``, and never written.
+
+    evolve holds two state arrays, the working copy and a zero-filled spare; each kernel call
+    gathers into the one and leaves c*psi in the other, and the two swap roles.  Each call
+    computes only inside the light cone: the index window of the input's nonzero amplitudes,
+    widened before each call by the tessellation's reach (its longest pair, high - low).
+    Amplitudes outside it are exactly +0.0+0.0j, as the full formula would leave them; only
+    the abstract phase exp(i*theta) with cos(theta) < 0 turns +0 into -0, so there the window
+    is the whole state from the start.
     """
     psi = _as_state(state)
-    if graph.node_count != psi.shape[0]:
-        raise ValidationError(f"graph has {graph.node_count} nodes but state has dimension {psi.shape[0]}")
+    n = psi.shape[0]
+    if graph.node_count != n:
+        raise ValidationError(f"graph has {graph.node_count} nodes but state has dimension {n}")
     tessellations = list(ts)
+    reach = {}
     for t in {id(t): t for t in tessellations}.values():  # each distinct object once, in first-use order
         hamiltonian_from_tessellation(graph, t)
+        reach[id(t)] = int((t.pairs[:, 1] - t.pairs[:, 0]).max()) if len(t.pairs) else 0
     if on_step is not None:
         on_step(0, psi)
     psi = psi.copy()  # the working array, which local_unitary overwrites through its _Checked view
+    spare = np.zeros_like(psi)  # zero bytes, so its part outside every window is +0.0 already
+    if cfg.convention == CONVENTION_ABSTRACT and math.cos(cfg.theta) < 0:
+        lo, hi = 0, n
+    else:  # a -0.0 part is live too, so bits are tested, not values
+        live = psi.view(np.uint64).reshape(n, 2).any(axis=1)
+        lo, hi = int(live.argmax()), n - int(live[::-1].argmax())
     for step in range(1, cfg.steps + 1):
         for t in tessellations:
-            psi = local_unitary(psi.view(_Checked), t, cfg)
+            lo, hi = max(lo - reach[id(t)], 0), min(hi + reach[id(t)], n)
+            work = psi.view(_Checked)
+            work.window = (lo, hi, spare)
+            out = local_unitary(work, t, cfg)
+            if out is spare:  # the two arrays swap roles; a kernel that allocates its result leaves the spare alone
+                spare = psi
+            psi = out
         if on_step is not None:
             on_step(step, psi)
     return _as_state(psi)

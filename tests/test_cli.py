@@ -4,8 +4,10 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from itertools import zip_longest
@@ -596,7 +598,8 @@ class TestUndecodableJson:
 
 
 class TestCollectorRestored:
-    """_load_json pauses the cyclic collector while it decodes and leaves it as the caller had it, on every exit."""
+    """_load_json, and each reader from decode through conversion, pauses the cyclic collector and leaves it as the
+    caller had it, on every exit."""
 
     @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
     def collector(self, request):
@@ -623,6 +626,42 @@ class TestCollectorRestored:
     def test_failure(self, collector, text, message):
         with pytest.raises(ValidationError, match=message):
             _load_json(text, "test JSON")
+        assert gc.isenabled() is collector
+
+    READERS = ["graph_from_json", "parse_schedule", "load_params"]
+
+    @staticmethod
+    def read(reader, tmp_path):
+        if reader == "graph_from_json":
+            return graph_from_json('{"nodes": 3, "edges": [[0, 1], [1, 2]], "tessellations": [[[0, 1], [2]], [[0], [1, 2]]]}')
+        if reader == "parse_schedule":
+            return parse_schedule((DATA / "schedule_path5_v2.json").read_text())
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(dataclasses.asdict(DEFAULT_PARAMS)))
+        return sqwbench.cli._load_params(str(path))
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_collector_resumes_after_the_decoded_value_is_freed(self, reader, tmp_path, monkeypatch):
+        was = gc.isenabled()
+        gc.enable()
+        decoded, refs_at_resume = [], []
+        loads, enable = json.loads, gc.enable
+        monkeypatch.setattr(errors.json, "loads", lambda text: decoded.append(loads(text)) or decoded[-1])
+        # the list and getrefcount's argument: 2 once the reader's frame is gone
+        monkeypatch.setattr(errors.gc, "enable", lambda: refs_at_resume.append(sys.getrefcount(decoded[0])) or enable())
+        try:
+            self.read(reader, tmp_path)
+        finally:
+            monkeypatch.undo()
+            (gc.enable if was else gc.disable)()
+        assert refs_at_resume == [2]
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_reader_restores_the_collector(self, reader, collector, tmp_path):
+        self.read(reader, tmp_path)
+        assert gc.isenabled() is collector
+        with pytest.raises(ValidationError):
+            graph_from_json('{"nodes": 3, "edges": [[0, 0]]}')
         assert gc.isenabled() is collector
 
 
@@ -819,6 +858,79 @@ class TestFileWrites:
             sqwbench.cli._guarded_write(tmp_path / "sliced" / name, texts, force=False)
             (tmp_path / name).write_text("".join(texts))
             assert (tmp_path / "sliced" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+class TestSigterm:
+    """SIGTERM during a command exits 143 and leaves no partial file.  The test calls the handler that ``main``
+    installed, as the signal would; no real signal is sent to the test process."""
+
+    @pytest.fixture
+    def outer(self):
+        def outer(signum, frame):
+            raise AssertionError("the handler in force before main ran was called")
+
+        previous = signal.signal(signal.SIGTERM, outer)
+        yield outer
+        signal.signal(signal.SIGTERM, previous)
+
+    @staticmethod
+    def terminate(path):
+        assert path.exists()  # the partial file is there when the signal arrives
+        handler = signal.getsignal(signal.SIGTERM)
+        handler(signal.SIGTERM, None)
+
+    def test_circuit_sweep(self, tmp_path, monkeypatch, capsys, outer):
+        assert main(["circuit", "--out", str(tmp_path / "whole")]) == 0
+        solve = sqwbench.cli.solve_mode
+        calls = []
+
+        def terminated_at_the_third(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                self.terminate(tmp_path / "sweep.csv")
+            return solve(*args)
+
+        monkeypatch.setattr(sqwbench.cli, "solve_mode", terminated_at_the_third)
+        assert main(["circuit", "--sweep", "8", "--out", str(tmp_path)]) == 143
+        assert capsys.readouterr().err == "error: terminated\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["report.json", "whole"]
+        assert (tmp_path / "report.json").read_bytes() == (tmp_path / "whole" / "report.json").read_bytes()
+        assert signal.getsignal(signal.SIGTERM) is outer
+
+    def test_walk_csv(self, tmp_path, monkeypatch, outer):
+        rows, terminate = sqwbench.cli.distribution_rows, self.terminate
+
+        class TerminatedAfterTheFirstText:
+            def __init__(self, n):
+                self.rows = rows(n)
+                self.keep = self.rows.keep
+
+            def __iter__(self):
+                for text in self.rows:
+                    yield text
+                    terminate(tmp_path / "distribution.csv")
+
+        monkeypatch.setattr(sqwbench.cli, "distribution_rows", TerminatedAfterTheFirstText)
+        assert main(["walk", "--path", "41", "--steps", "4", "--out", str(tmp_path)]) == 143
+        assert list(tmp_path.iterdir()) == []
+        assert signal.getsignal(signal.SIGTERM) is outer
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [(["walk", "--path", "5"], 0), (["walk", "--path", "0"], 2), (["walk", "--bogus"], 1), (["--help"], 0)],
+        ids=["success", "domain-error", "usage-error", "help"],
+    )
+    def test_previous_handler_restored_on_every_exit(self, tmp_path, capsys, outer, argv, code):
+        assert main([*argv, "--out", str(tmp_path)] if argv[0] == "walk" else argv) == code
+        assert signal.getsignal(signal.SIGTERM) is outer
+
+    def test_outside_the_main_thread_no_handler_is_set(self, tmp_path, outer):
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(main(["circuit", "--out", str(tmp_path)])))
+        worker.start()
+        worker.join()
+        assert codes == [0] and (tmp_path / "report.json").exists()
+        assert signal.getsignal(signal.SIGTERM) is outer
 
 
 def first_difference(name: str, data: bytes) -> str:

@@ -1,7 +1,10 @@
 import cmath
+import inspect
 import math
 import random
+import sys
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -618,6 +621,136 @@ class TestKernelBits:
                 expected = local_unitary(expected, t, cfg)
         assert evolve(psi, ts, cfg, graph=g).tobytes() == expected.tobytes()
         assert psi.tobytes() == initial_basis_state(g.node_count, g.node_count // 2).tobytes()
+
+
+def plain_chain(psi, ts, cfg):
+    """``cfg.steps`` rounds of plain ``local_unitary`` calls, one per tessellation: the full formula on every node."""
+    for _ in range(cfg.steps):
+        for t in ts:
+            psi = local_unitary(psi, t, cfg)
+    return psi
+
+
+LIGHT_CONE_WALKS = {
+    "path-41": generate_path_tessellations(41),
+    "lattice-1x5": generate_lattice_tessellations((1, 5)),
+    "lattice-5x1": generate_lattice_tessellations((5, 1)),
+    "lattice-6x1x3": generate_lattice_tessellations((6, 1, 3)),
+    "lattice-60x61": generate_lattice_tessellations((60, 61)),
+}
+LIGHT_CONE_THETAS = KERNEL_THETAS + [math.pi]
+
+
+def light_cone_cases():
+    """(name, graph, tessellations, cfg, start state) for every light-cone check, the basis starts first."""
+    for name, (g, ts) in LIGHT_CONE_WALKS.items():
+        n = g.node_count
+        for theta in LIGHT_CONE_THETAS:
+            for convention in (CONVENTION_ABSTRACT, CONVENTION_PHYSICAL):
+                cfg = WalkConfig(theta, 4, convention)
+                for start in sorted({0, n // 2, n - 1}):
+                    yield f"{name}-{convention}-{theta!r}-start{start}", g, ts, cfg, initial_basis_state(n, start)
+    g, ts = LIGHT_CONE_WALKS["path-41"]
+    for theta in LIGHT_CONE_THETAS:
+        for convention in (CONVENTION_ABSTRACT, CONVENTION_PHYSICAL):
+            # three kernel calls a step, so an odd count of calls leaves the result in evolve's spare array
+            yield f"t0-t1-t0-{convention}-{theta!r}", g, (ts[0], ts[1], ts[0]), WalkConfig(theta, 3, convention), (
+                initial_basis_state(41, 20)
+            )
+            # a -0.0 part far from the support is live: the full formula turns it into +0.0
+            psi = initial_basis_state(41, 0)
+            psi[40] = complex(-0.0, 0.0)
+            yield f"minus-zero-{convention}-{theta!r}", g, ts, WalkConfig(theta, 2, convention), psi
+
+
+def light_cone_mismatch(evolve_fn):
+    """The first case whose final bytes under ``evolve_fn`` differ from a plain chain's, or that it refuses; or None."""
+    for case, g, ts, cfg, psi in light_cone_cases():
+        try:
+            if evolve_fn(psi, ts, cfg, graph=g).tobytes() != plain_chain(psi, ts, cfg).tobytes():
+                return case
+        except ValidationError:  # amplitude lost outside a too-narrow window fails the exit norm check
+            return case
+    return None
+
+
+class TestLightCone:
+    """evolve computes only inside the walk's light cone, and its bytes are those of the full formula everywhere."""
+
+    @pytest.mark.parametrize("g,ts,cfg,psi", [pytest.param(*case[1:], id=case[0]) for case in light_cone_cases()])
+    def test_evolve_matches_a_chain_of_plain_calls(self, g, ts, cfg, psi):
+        before = psi.tobytes()
+        seen = []
+        out = evolve(psi, ts, cfg, graph=g, on_step=lambda step, s: seen.append(s.copy()))
+        assert out.tobytes() == plain_chain(psi, ts, cfg).tobytes()
+        for step, s in enumerate(seen):  # every observed state too, not only the last
+            assert s.tobytes() == plain_chain(psi, ts, WalkConfig(cfg.theta, step, cfg.convention)).tobytes()
+        assert psi.tobytes() == before
+
+    def test_zeros_outside_the_cone_are_plus_zero(self):
+        g, ts = generate_path_tessellations(2001)
+        seen = []
+        evolve(initial_basis_state(2001, 1000), ts, WalkConfig(0.9, 5), graph=g, on_step=lambda _, s: seen.append(s.copy()))
+        for step, s in enumerate(seen):  # two calls of reach 1 a step
+            words = s.view(np.uint64).reshape(-1, 2)
+            assert not words[: 1000 - 2 * step].any() and not words[1001 + 2 * step :].any()
+
+    def test_kernel_computes_only_inside_the_window(self):
+        g, ts = generate_path_tessellations(11)
+        psi = initial_basis_state(11, 5).view(walk._Checked)
+        spare = np.full(11, 7.0 + 7.0j)
+        psi.window = (4, 7, spare)
+        out = local_unitary(psi, ts[0], WalkConfig(0.9))
+        assert out is spare
+        assert np.array_equal(out[4:7], local_unitary(initial_basis_state(11, 5), ts[0], WalkConfig(0.9))[4:7])
+        outside = np.setdiff1d(np.r_[0:4, 7:11], ts[0].singletons)  # singletons are restored wherever they are
+        assert np.all(out[outside] == 7.0 + 7.0j) and np.all(out[ts[0].singletons] == 0.0)
+
+
+class TestLightConeMutants:
+    """Each mutant of walk.py, built in memory, fails the light-cone checks: they can tell a wrong window."""
+
+    MUTANTS = {
+        "reach-of-one-tessellation-minus-one": (
+            "reach[id(t)] = int((t.pairs[:, 1] - t.pairs[:, 0]).max())",
+            "reach[id(t)] = int((t.pairs[:, 1] - t.pairs[:, 0]).max()) - (t is tessellations[0])",
+        ),
+        "no-abstract-cos-below-zero-rule": (
+            "if cfg.convention == CONVENTION_ABSTRACT and math.cos(cfg.theta) < 0:",
+            "if False:",
+        ),
+        "singleton-phase-in-the-window-only": (
+            "out[t.singletons] *= complex(c, s)",
+            "out[t.singletons[(lo <= t.singletons) & (t.singletons < hi)]] *= complex(c, s)",
+        ),
+    }
+
+    @staticmethod
+    def position_dependent_product():
+        """Whether numpy's in-place complex product rounds an element by where it falls in the array."""
+        z = np.array([1.0, 1j]) @ np.random.default_rng(1).normal(size=(2, 67))
+        whole = z.copy()
+        whole *= complex(math.cos(0.9), math.sin(0.9))
+        for k in range(67):
+            part = z[k:].copy()
+            part *= complex(math.cos(0.9), math.sin(0.9))
+            if part.tobytes() != whole[k:].tobytes():
+                return True
+        return False
+
+    @pytest.mark.parametrize("mutant", MUTANTS)
+    def test_mutant_fails(self, mutant, monkeypatch):
+        if mutant == "singleton-phase-in-the-window-only" and not self.position_dependent_product():
+            pytest.skip("numpy's complex product rounds alike at every position here, so this mutant is equivalent")
+        old, new = self.MUTANTS[mutant]
+        source = inspect.getsource(walk)
+        assert source.count(old) == 1
+        module = types.ModuleType("sqwbench._walk_mutant")
+        module.__package__ = "sqwbench"
+        monkeypatch.setitem(sys.modules, module.__name__, module)  # dataclass looks its module up there
+        exec(compile(source.replace(old, new), walk.__file__, "exec"), module.__dict__)
+        assert light_cone_mismatch(module.evolve) is not None
+        assert light_cone_mismatch(evolve) is None
 
 
 class TestKernelMemory:
