@@ -38,8 +38,9 @@ class _StepRows(Sequence):
         self._value, self._zero, self._kept = value, zero, kept
 
     def keep(self, dist) -> None:
-        lo, window = _live_window(dist)
-        self._kept.append((len(self._kept), lo, window.copy()))
+        p = np.asarray(dist, dtype=float)
+        lo, hi = _live_span(p)
+        self._kept.append((len(self._kept), lo, p[lo:hi].copy()))
 
     def __len__(self) -> int:
         return len(self._kept)
@@ -60,12 +61,12 @@ class _StepRows(Sequence):
         )
 
 
-def _live_window(dist):
-    """``(lo, p[lo:hi])``: the values from the first to the last that is not +0.0, or ``(n, p[n:])`` if none is."""
-    p = np.asarray(dist, dtype=float)
-    live = (p != 0) | np.signbit(p)
-    lo, hi = (int(live.argmax()), p.shape[0] - int(live[::-1].argmax())) if live.any() else (p.shape[0],) * 2
-    return lo, p[lo:hi]
+def _live_span(a: np.ndarray) -> tuple[int, int]:
+    """``(lo, hi)``: from the first to past the last element of a float64 or complex128 array that is not all zero
+    bits, so -0.0 and NaN are live; ``(n, n)`` if none is."""
+    live = a.view(np.uint64).reshape(a.shape[0], a.itemsize // 8).any(axis=1)  # one word per float64, two per complex
+    n = live.shape[0]
+    return (int(live.argmax()), n - int(live[::-1].argmax())) if live.any() else (n, n)
 
 
 def distribution_rows(n: int) -> _StepRows:

@@ -51,12 +51,17 @@ class PulseInterval:
 
     Such an array is kept as given, so the intervals that drive one pattern share it.  Other pairs of Python or numpy
     ints are copied into one; a pair that is not two ints or holds a node outside the intp range is rejected.
+    The index, a Python or numpy int, is stored as an int.
     """
 
     index: int
     on_pairs: np.ndarray
 
     def __post_init__(self):
+        if not (_is_index(self.index) or isinstance(self.index, np.integer)):
+            raise ValidationError(f"interval index must be an integer, got {self.index!r}")
+        if type(self.index) is not int:
+            object.__setattr__(self, "index", int(self.index))
         on = self.on_pairs
         if not (isinstance(on, np.ndarray) and on.dtype == np.intp and on.shape[1:] == (2,) and not on.flags.writeable):
             on = on.tolist() if isinstance(on, np.ndarray) else on if isinstance(on, (list, tuple)) else list(on)
@@ -211,7 +216,6 @@ _LAYOUT = (
     '{\n  "version": %d,\n  "tau_s": %s,\n  "flux_on": %s,\n  "flux_off": %s,\n  "steps": %d,\n'
     '  "patterns": %s,\n  "intervals": %s\n}\n'
 )
-_dumps = json.JSONEncoder(default=int).encode  # default=int writes numpy integer indices of hand-built schedules
 
 
 def emit_schedule(s: PulseSchedule) -> str:
@@ -234,7 +238,7 @@ def emit_schedule(s: PulseSchedule) -> str:
         entries.append((iv.index, p))
     lines = ("    [" + ("[%d, %d], " * len(on))[:-2] % tuple(on.ravel().tolist()) + "]" for _, on in table.values())
     patterns = "[\n" + ",\n".join(lines) + "\n  ]" if table else "[]"
-    return _LAYOUT % (SCHEDULE_SCHEMA_VERSION, *map(json_float, header), s.repetitions, patterns, _dumps(entries))
+    return _LAYOUT % (SCHEDULE_SCHEMA_VERSION, *map(json_float, header), s.repetitions, patterns, json.dumps(entries))
 
 
 @_collector_paused

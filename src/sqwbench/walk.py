@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._format import _live_span
 from .errors import ValidationError, _is_index, _is_number, _not_finite
 from .graph import Graph, Tessellation, TessellationSet, validate_tessellation
 
@@ -90,20 +91,17 @@ def initial_basis_state(n: int, node: int) -> np.ndarray:
 
 
 class _Checked(np.ndarray):
-    """A view of evolve's own working array: :func:`_as_state` passes it without summing |psi|^2,
-    and :func:`local_unitary` overwrites it instead of allocating a temporary.
+    """A view of a state array that :func:`local_unitary` may overwrite, already checked: it holds c*psi afterwards.
 
-    ``evolve`` sets ``window = (lo, hi, spare)`` on it: every amplitude outside ``[lo, hi)`` is +0.0+0.0j before
-    and after the call, so the kernel computes only inside that light cone, and gathers into ``spare``, evolve's
-    second state array, whose bytes outside the window are zero too.
+    ``window = (lo, hi, out)`` on it names the amplitudes to compute and the array to gather them into; every
+    amplitude outside ``[lo, hi)`` is +0.0+0.0j in both arrays before the call, and stays so.  Without a window the
+    kernel computes the whole state into a fresh array.
     """
 
     window = None
 
 
 def _as_state(state) -> np.ndarray:
-    if type(state) is _Checked:
-        return state.view(np.ndarray)
     psi = np.asarray(state, dtype=complex)
     if psi.ndim != 1:
         raise ValidationError("state must be a one-dimensional amplitude vector")
@@ -122,17 +120,15 @@ def local_unitary(state, t: Tessellation, cfg: WalkConfig) -> np.ndarray:
     Returns cos(theta)*psi + i*sin(theta)*H psi, with H psi gathered
     through the tessellation's swap permutation; singletons get
     exp(i*theta) under the abstract convention and 1 under the physical one.
-    The input is never written, except evolve's own working array (a ``_Checked`` view),
-    which holds c*psi afterwards.  evolve sets its light-cone window on that view: the formula
-    then runs only inside the window, gathering into evolve's spare state, which is returned,
-    and amplitudes outside the window stay +0.0.
+    Any state but a ``_Checked`` view is checked and copied into one, so the input is never written; the formula
+    then runs in place on that view (see :class:`_Checked`), inside its window if it has one.
     """
-    owned = type(state) is _Checked
-    window = state.window if owned else None
-    psi = _as_state(state)
+    if type(state) is not _Checked:
+        state = _as_state(state).copy().view(_Checked)
+    psi = state.view(np.ndarray)
     n = psi.shape[0]
     partner = t._swaps(n)
-    lo, hi, out = window or (0, n, np.empty(n, dtype=complex))
+    lo, hi, out = state.window or (0, n, np.empty(n, dtype=complex))
     c = math.cos(cfg.theta)
     s = math.sin(cfg.theta)
     kept = psi[t.singletons]
@@ -140,7 +136,7 @@ def local_unitary(state, t: Tessellation, cfg: WalkConfig) -> np.ndarray:
     # straight into out (the default "raise" buffers it), and every partner index is in range anyway
     gathered = np.take(psi, partner[lo:hi], out=out[lo:hi], mode="wrap")
     np.multiply(1j * s, gathered, out=gathered)
-    gathered += np.multiply(c, psi[lo:hi], out=psi[lo:hi] if owned else None)
+    gathered += np.multiply(c, psi[lo:hi], out=psi[lo:hi])
     # H fixes singletons, so the formula gave them c*psi + i*s*psi; restore them, and for the abstract phase
     # take one in-place complex product, which can round differently from that sum.  Both run on every
     # singleton, in or out of the window: numpy's complex product rounds an element by where it falls in its
@@ -163,10 +159,11 @@ def evolve(state, ts: TessellationSet, cfg: WalkConfig, graph: Graph, on_step=No
     once, after ``on_step(0, ...)``, and never written.
 
     evolve holds two state arrays, the working copy and a zero-filled spare; each kernel call
-    gathers into the one and leaves c*psi in the other, and the two swap roles.  Each call
-    computes only inside the light cone: the index window of the input's nonzero amplitudes,
-    widened before each call by the tessellation's reach (its longest pair, high - low).
-    Amplitudes outside it are exactly +0.0+0.0j, as the full formula would leave them; only
+    gathers into the spare and leaves c*psi in the working copy, and the two swap roles.  Each
+    call computes only inside the light cone: the input's live span (a -0.0 part is live), widened
+    before each call by the tessellation's reach (its longest pair, high - low).  Windows only grow,
+    so both arrays are +0.0 outside the next one, whatever array the kernel returned.
+    Amplitudes outside the window are exactly +0.0+0.0j, as the full formula would leave them; only
     the abstract phase exp(i*theta) with cos(theta) < 0 turns +0 into -0, so there the window
     is the whole state from the start.
     """
@@ -185,18 +182,14 @@ def evolve(state, ts: TessellationSet, cfg: WalkConfig, graph: Graph, on_step=No
     spare = np.zeros_like(psi)  # zero bytes, so its part outside every window is +0.0 already
     if cfg.convention == CONVENTION_ABSTRACT and math.cos(cfg.theta) < 0:
         lo, hi = 0, n
-    else:  # a -0.0 part is live too, so bits are tested, not values
-        live = psi.view(np.uint64).reshape(n, 2).any(axis=1)
-        lo, hi = int(live.argmax()), n - int(live[::-1].argmax())
+    else:
+        lo, hi = _live_span(psi)
     for step in range(1, cfg.steps + 1):
         for t in tessellations:
             lo, hi = max(lo - reach[id(t)], 0), min(hi + reach[id(t)], n)
             work = psi.view(_Checked)
             work.window = (lo, hi, spare)
-            out = local_unitary(work, t, cfg)
-            if out is spare:  # the two arrays swap roles; a kernel that allocates its result leaves the spare alone
-                spare = psi
-            psi = out
+            spare, psi = psi, local_unitary(work, t, cfg)
         if on_step is not None:
             on_step(step, psi)
     return _as_state(psi)

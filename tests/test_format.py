@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqwbench._format import distribution_rows, dumps_17g, fmt17
+from sqwbench._format import _live_span, distribution_rows, dumps_17g, fmt17
 
 probabilities = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False, allow_subnormal=True)
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -95,6 +95,11 @@ class TestDistributionCsv:
         distributions = [np.zeros(40) for _ in range(3)]
         for dist, node in zip(distributions, (0, 39, 20)):
             dist[node] = value
+            for part in (complex(value, 0.0), complex(0.0, value)):  # live as a real or an imaginary part
+                amplitudes = np.zeros(40, dtype=complex)
+                amplitudes[node] = part
+                assert _live_span(amplitudes) == (node, node + 1)
+            assert _live_span(dist) == (node, node + 1)
         assert distribution_csv(distributions) == per_cell_csv(distributions)
 
     def test_single_node_single_step(self):
@@ -107,6 +112,8 @@ class TestDistributionCsv:
         template = "".join(f"\t{node},%.17g\n" for node in range(nodes))
         values = np.arange(1.0, nodes + 1.0)
         rows = kept([np.zeros(nodes), values, np.zeros(nodes)])  # step 0 alone carries the header
+        assert _live_span(np.zeros(nodes)) == _live_span(np.zeros(nodes, dtype=complex)) == (nodes, nodes)
+        assert _live_span(values) == _live_span(values.astype(complex)) == (0, nodes)
         assert rows[1] == template.replace("\t", "1,") % tuple(values.tolist())
         assert rows[2] == template.replace(",%.17g\n", ",0\n").replace("\t", "2,")
 

@@ -894,7 +894,8 @@ class TestPatternMatchesSetBasedCheck:
 
 
 class TestIntervalGuard:
-    """A hand-built interval whose pairs are not two in-range ints is rejected, naming the interval and the pair."""
+    """A hand-built interval whose index is not an int, or whose pairs are not two in-range ints, is rejected, naming
+    the index, or the interval and the pair."""
 
     NOT_TWO, OUTSIDE = "must be a list of two node indices", f"has a node outside {RANGE}"
 
@@ -925,3 +926,17 @@ class TestIntervalGuard:
         with pytest.raises(ValidationError) as info:
             PulseInterval(2, on)
         assert str(info.value) == f"interval 2: pair {shown!r} {fault}"
+
+    @pytest.mark.parametrize("index", [True, np.True_, 1.5, 1.0, "x", None], ids=repr)
+    def test_index_that_is_not_an_int_rejected(self, index):
+        with pytest.raises(ValidationError) as info:
+            PulseInterval(index, ((0, 1),))
+        assert str(info.value) == f"interval index must be an integer, got {index!r}"
+
+    @pytest.mark.parametrize("index", [np.int64(3), np.uint8(3), -1, 2**70], ids=repr)
+    def test_any_integer_index_round_trips(self, index):
+        s = PulseSchedule(1e-9, 1.0, 0.48, 1, (PulseInterval(index, ((0, 1),)), PulseInterval(0, ())))
+        assert type(s.intervals[0].index) is int and s.intervals[0].index == index
+        text = emit_schedule(s)
+        assert f'"intervals": [[{int(index)}, 0], [0, 1]]\n' in text
+        assert parse_schedule(text) == s and emit_schedule(parse_schedule(text)) == text
