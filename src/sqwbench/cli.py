@@ -83,7 +83,7 @@ class _Parser(argparse.ArgumentParser):
 def parse_theta(text: str) -> float:
     """Angle parser: plain decimals or exact fractions of pi (pi/3, 2pi/5, -pi, 3*pi/4)."""
     compact = text.strip().lower().replace(" ", "").replace("*", "")
-    m = re.fullmatch(r"(-?\d*\.?\d*)pi(?:/(\d+\.?\d*))?", compact)
+    m = re.fullmatch(r"(-?(?:\d+\.?\d*|\.\d+)?)pi(?:/(\d+\.?\d*))?", compact)
     if m:
         head, denom = m.group(1), m.group(2)
         if head in ("", "-"):

@@ -73,10 +73,9 @@ def _collector_paused(fn):
     return paused
 
 
-@_collector_paused
 def _load_json(text: str, what: str):
-    """``json.loads(text)`` with the cyclic collector paused; each way it can fail is a one-line ValidationError that
-    names ``what``.  Each reader holds the pause on through its conversion too (see :func:`_collector_paused`)."""
+    """``json.loads(text)``; each way it can fail is a one-line ValidationError that names ``what``.  Each reader
+    that calls it holds the cyclic collector paused from decode through conversion (see :func:`_collector_paused`)."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -80,9 +80,10 @@ class PulseInterval:
 class PulseSchedule:
     """Per-SQUID flux timeline: interval length, flux levels, and drive pattern.
 
-    Structural soundness against a graph (finite header floats, matching
-    property, edge membership, positive interval length) is checked by
-    :func:`validate_schedule`, which reports violations as data so that
+    The header is checked when a schedule is built, however it is built: one
+    that :func:`parse_schedule` would reject raises its ``ValidationError``.
+    Soundness against a graph (matching property, edge membership) is checked
+    by :func:`validate_schedule`, which reports violations as data so that
     hand-built schedules can be inspected.
     """
 
@@ -93,6 +94,7 @@ class PulseSchedule:
     intervals: tuple[PulseInterval, ...]
 
     def __post_init__(self):
+        _check_header(self.tau_seconds, self.flux_on_ratio, self.flux_off_ratio, self.repetitions)
         object.__setattr__(self, "intervals", tuple(self.intervals))
 
 
@@ -159,15 +161,13 @@ def simulate_compiled(run: CompiledRun, state, graph: Graph, convention: str = C
 
 
 def validate_schedule(s: PulseSchedule, g: Graph) -> list[str]:
-    """Check finite header floats, matching property, edge membership, and positive interval length.
+    """Check the matching property and edge membership; the header was checked when ``s`` was built.
 
     Returns violations as a list of messages; empty means the schedule is sound for the graph.  Per interval they
     come pair by pair: "not an edge" first, then each node already driven by an earlier pair.  Each distinct
     ``on_pairs`` array is checked once, as arrays; one with a fault is walked, and reported, for each interval.
     """
-    violations = list(filter(None, map(_not_finite, _HEADER, (s.tau_seconds, s.flux_on_ratio, s.flux_off_ratio))))
-    if not s.tau_seconds > 0.0:
-        violations.append(f"interval length {s.tau_seconds!r} is not positive")
+    violations = []
     faults = {}  # id(on_pairs) -> which of its pairs are edges, or None if it is sound; s keeps each array alive
     for interval in s.intervals:
         if id(on := interval.on_pairs) not in faults:
@@ -187,9 +187,9 @@ def validate_schedule(s: PulseSchedule, g: Graph) -> list[str]:
 
 
 def feasibility_notes(s: PulseSchedule) -> list[str]:
-    """Hardware-budget warnings (never failures) for a schedule."""
+    """Hardware-budget warnings (never failures) for a schedule, whose interval length is positive."""
     notes = []
-    if 0.0 < s.tau_seconds < SWITCHING_BUDGET_SECONDS:
+    if s.tau_seconds < SWITCHING_BUDGET_SECONDS:
         notes.append(
             f"interval length {s.tau_seconds:.4g} s is below the {_budget_text()}; "
             "flux pulses cannot settle within one interval"
@@ -201,7 +201,7 @@ _HEADER = ("tau_s", "flux_on", "flux_off")  # the wire names of the header float
 
 
 def _check_header(tau, flux_on, flux_off, steps) -> None:
-    """Raise the first fault of a header that ``parse_schedule`` would reject; ``emit_schedule`` writes no other."""
+    """Raise the first fault of a header that ``parse_schedule`` would reject, for it and for ``PulseSchedule``."""
     if not _is_number(tau) or not tau > 0:
         raise ValidationError(f"tau_s must be a positive number, got {tau!r}")
     for key, value in zip(_HEADER, (tau, flux_on, flux_off)):
@@ -224,10 +224,9 @@ def emit_schedule(s: PulseSchedule) -> str:
     Keys one per line, as ``json.dumps(payload, indent=2)`` places them, floats at 17 significant digits.
     Each distinct ``on_pairs`` array, keyed by ``id`` and then by its bytes, is one ``[[%d, %d], ...]`` line of the
     ``"patterns"`` table in first-use order; ``"intervals"`` is one line of ``[idx, pattern]`` entries.
-    A header that :func:`parse_schedule` would reject raises its message instead.
+    The header needs no check here: a :class:`PulseSchedule` holds only one that :func:`parse_schedule` reads back.
     """
     header = s.tau_seconds, s.flux_on_ratio, s.flux_off_ratio
-    _check_header(*header, s.repetitions)
     numbers = {}  # id(on_pairs) -> pattern number; s keeps each array alive, so no id is reused
     table = {}  # on_pairs bytes -> (pattern number, array), so equal arrays that are not shared make one pattern
     entries = []

@@ -16,6 +16,10 @@ def _f(x: float) -> str:
     return format(x, ".2f")
 
 
+def _text(x, y, size: int, anchor: str, body) -> str:
+    return f'<text x="{x}" y="{y}" font-family="sans-serif" font-size="{size}" text-anchor="{anchor}">{body}</text>'
+
+
 def distribution_svg(probabilities, title: str = "") -> str:
     """Render node-occupation probabilities as an SVG bar chart."""
     probs = [float(p) for p in probabilities]
@@ -33,10 +37,7 @@ def distribution_svg(probabilities, title: str = "") -> str:
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     if title:
-        parts.append(
-            f'<text x="{_WIDTH // 2}" y="22" font-family="sans-serif" font-size="14" '
-            f'text-anchor="middle">{title}</text>'
-        )
+        parts.append(_text(_WIDTH // 2, 22, 14, "middle", title))
     # axes
     x0 = _MARGIN_LEFT
     y0 = _HEIGHT - _MARGIN_BOTTOM
@@ -45,21 +46,11 @@ def distribution_svg(probabilities, title: str = "") -> str:
         f'stroke="black" fill="none" stroke-width="1"/>'
     )
     # y-axis labels: 0 and max
-    parts.append(
-        f'<text x="{_f(x0 - 6)}" y="{_f(y0 + 4)}" font-family="sans-serif" font-size="11" '
-        f'text-anchor="end">0</text>'
-    )
-    parts.append(
-        f'<text x="{_f(x0 - 6)}" y="{_f(_MARGIN_TOP + 4)}" font-family="sans-serif" font-size="11" '
-        f'text-anchor="end">{top:.3g}</text>'
-    )
+    parts.append(_text(_f(x0 - 6), _f(y0 + 4), 11, "end", 0))
+    parts.append(_text(_f(x0 - 6), _f(_MARGIN_TOP + 4), 11, "end", f"{top:.3g}"))
     # x-axis labels: first, middle, last node
     for node in sorted({0, (n - 1) // 2, n - 1}):
-        cx = x0 + (node + 0.5) * bar_w
-        parts.append(
-            f'<text x="{_f(cx)}" y="{_f(y0 + 16)}" font-family="sans-serif" font-size="11" '
-            f'text-anchor="middle">{node}</text>'
-        )
+        parts.append(_text(_f(x0 + (node + 0.5) * bar_w), _f(y0 + 16), 11, "middle", node))
     for node, p in enumerate(probs):
         h = plot_h * p / top
         if h <= 0.0:

@@ -33,8 +33,9 @@ from sqwbench.graph import (
 from sqwbench.schedule import parse_schedule, validate_schedule
 from sqwbench.walk import WalkConfig, evolve, initial_basis_state, probability_distribution
 
+from regen_golden import GOLDEN, golden_digests, run_examples
+
 DATA = Path(__file__).parent / "data"
-GOLDEN = DATA / "golden"  # the bytes TestReadmeExamples pins, kept to name a mismatch's first differing line
 
 
 def read_csv(path):
@@ -59,6 +60,7 @@ class TestThetaParsing:
             ("2pi/5", 2 * math.pi / 5),
             ("3*pi/4", 3 * math.pi / 4),
             ("-pi/2", -math.pi / 2),
+            (".5pi", 0.5 * math.pi),
             ("0.75", 0.75),
             ("1e-2", 0.01),
         ],
@@ -77,6 +79,10 @@ class TestThetaParsing:
             ("--theta", "pi/0", "zero denominator in angle 'pi/0'"),
             ("--lattice", "3,x", "cannot parse lattice dimensions '3,x'"),
             ("--lattice", ",", "cannot parse lattice dimensions ','"),
+            *(
+                ("--theta", form, f"cannot parse angle {form!r}; use a number or a fraction of pi such as pi/3")
+                for form in (".pi", "-.pi", ".pi/3")
+            ),
         ],
     )
     def test_unparsable_value_is_usage_error(self, tmp_path, capsys, option, value, message):
@@ -598,8 +604,8 @@ class TestUndecodableJson:
 
 
 class TestCollectorRestored:
-    """_load_json, and each reader from decode through conversion, pauses the cyclic collector and leaves it as the
-    caller had it, on every exit."""
+    """Each reader pauses the cyclic collector from decode through conversion and leaves it as the caller had it, on
+    every exit; _load_json's failures are one-line ValidationErrors."""
 
     @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
     def collector(self, request):
@@ -612,7 +618,7 @@ class TestCollectorRestored:
         during = []
         loads = json.loads
         monkeypatch.setattr(errors.json, "loads", lambda text: during.append(gc.isenabled()) or loads(text))
-        assert _load_json('{"a": [[0, 1]]}', "test JSON") == {"a": [[0, 1]]}
+        assert graph_from_json('{"nodes": 2, "edges": [[0, 1]]}') == (build_graph(2, [(0, 1)]), None)
         assert during == [False] and gc.isenabled() is collector
 
     @pytest.mark.parametrize(
@@ -943,44 +949,14 @@ def first_difference(name: str, data: bytes) -> str:
 
 
 class TestReadmeExamples:
-    # the five commands of the README's CLI section, as written there, then three more
-    COMMANDS = [
-        "walk --path 133 --theta pi/3 --steps 32 --start 66 --out runs/line --svg",
-        "walk --lattice 3,3 --steps 8 --out runs/lattice",
-        "walk --graph mygraph.json --theta 0.9 --steps 5 --out runs/custom",
-        "circuit --sweep 24 --out runs/circuit",
-        "schedule --path 5 --theta pi/3 --steps 1 --out runs/sched",
-        "walk --lattice 7,5 --convention abstract --theta 0.9 --steps 9 --out runs/abstract",
-        "walk --path 3 --theta=-0 --out runs/minus0",
-        "schedule --lattice 100,100 --steps 5 --out runs/sched100",
-    ]
-    # sha256 of each output; tests/data/golden holds the same bytes, so that a mismatch can name its first line
-    DIGESTS = {
-        "abstract/distribution.csv": "42a0b255bdb7844da811355a2df4e4c30ae3ecd7fcb95a7848e2bf19d8a92e01",
-        "abstract/run.json": "c54d1e3f6178274956060cbff0fc37590aa0d8a5e473125e98608cc8e8d99359",
-        "circuit/report.json": "40a75beea24dd2e4cf89879d6d251684f90ce7222c2d7e02fe592c61e67fa7fc",
-        "circuit/sweep.csv": "503e34c39c1fd8951de38d43e298c5fa5318b58fa298f9de5d71e0ccbfed7f14",
-        "custom/distribution.csv": "e575b11601528ac5a8e1a7a706124705a137a9b544f39b4682800540f779f932",
-        "custom/run.json": "bcf8bdaa36b76c8ed54d515a32c44311fae90cfbfa0cf6395d4a019b0a0e8819",
-        "lattice/distribution.csv": "9cddf2f8bbfe0eb9e9113509977751015112d70bc9246d2004d0b696b29c5307",
-        "lattice/run.json": "864117a3159833fedc47f1732e2da5145787e107c2741f3aab3595f145036d72",
-        "line/distribution.csv": "ec9ec1e44cb84a76e74a5d494cf03712c89ddbbc588dfa2c1a3a2aeabcda4b3b",
-        "line/distribution.svg": "7b6ecd866bff3f6577a0ca0a8f9f61ab92507917094f1985f9e86600a72a29c4",
-        "line/run.json": "8941290a17eb2d79c1f16ecc540257dc3f85390dc4c408e6a3a643c93dae9542",
-        "minus0/distribution.csv": "d5e8a958a8e80125c153176d80961f5e8133d7f96084fd4c7b26a0aec85bf2c9",
-        "minus0/run.json": "9ad297dc60d4d3fd150a8075b659b07d3c68444939ce03b62d34a2bfacafe6da",
-        "sched/schedule.json": "a321322430f83d4b4137e31e192a4f9f8905528d2b3b8b5b49107b14c361e1a0",
-        "sched100/schedule.json": "df18c97a026c96218b9db67c30932678ea981b944ce4ef80f3e38f92ed8a5095",
-    }
-
-    def test_outputs_are_pinned(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)  # run.json records the graph file's path as given
-        (tmp_path / "mygraph.json").write_bytes((DATA / "graph_bipartite7.json").read_bytes())
-        for command in self.COMMANDS:
-            assert main(command.split()) == 0, command
+    # the commands live in regen_golden.py, which rewrites tests/data/golden and its SHA256SUMS from their outputs;
+    # the golden copies are kept so that a mismatch can name its first differing line
+    def test_outputs_are_pinned(self, tmp_path):
+        digests = golden_digests()
+        assert run_examples(tmp_path) == []
         runs = tmp_path / "runs"
-        assert sorted(p.relative_to(runs).as_posix() for p in runs.rglob("*") if p.is_file()) == sorted(self.DIGESTS)
-        for name, digest in self.DIGESTS.items():
+        assert sorted(p.relative_to(runs).as_posix() for p in runs.rglob("*") if p.is_file()) == sorted(digests)
+        for name, digest in digests.items():
             assert hashlib.sha256((GOLDEN / name).read_bytes()).hexdigest() == digest, f"golden copy {name} changed"
             data = (runs / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, first_difference(name, data)

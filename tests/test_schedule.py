@@ -90,8 +90,6 @@ def reference_emit_v2(s):
 def reference_validate(s, g):
     """validate_schedule checked pair by pair against the graph's edge set."""
     violations = []
-    if not s.tau_seconds > 0.0:
-        violations.append(f"interval length {s.tau_seconds!r} is not positive")
     edge_set = set(g.edges)
     for interval in s.intervals:
         driven = set()
@@ -300,17 +298,23 @@ class TestValidateSchedule:
         violations = validate_schedule(s, g)
         assert any("not an edge" in v for v in violations)
 
+    # the header is refused when the schedule is built, so validate_schedule never sees a bad one
     def test_non_positive_tau(self):
-        g, _ = generate_path_tessellations(3)
-        s = PulseSchedule(-1.0, 1.0, 0.48, 0, ())
-        assert any("not positive" in v for v in validate_schedule(s, g))
+        with pytest.raises(ValidationError, match=r"^tau_s must be a positive number, got -1\.0$"):
+            PulseSchedule(-1.0, 1.0, 0.48, 0, ())
 
     def test_non_finite_header_floats(self):
-        g, _ = generate_path_tessellations(3)
-        s = PulseSchedule(math.inf, 1.0, math.nan, 0, ())
-        assert validate_schedule(s, g) == ["tau_s must be finite, got inf", "flux_off must be finite, got nan"]
-        s = PulseSchedule(1e-6, -math.inf, 0.48, 0, ())
-        assert validate_schedule(s, g) == ["flux_on must be finite, got -inf"]
+        faults = []
+        for header in ((math.inf, 1.0, math.nan), (1e-6, 1.0, math.nan), (1e-6, -math.inf, 0.48)):
+            with pytest.raises(ValidationError) as info:
+                PulseSchedule(*header, 0, ())
+            faults.append(str(info.value))
+        # the first fault of each header, in field order
+        assert faults == [
+            "tau_s must be finite, got inf",
+            "flux_off must be finite, got nan",
+            "flux_on must be finite, got -inf",
+        ]
 
 
 class TestValidateMatchesPairByPair:
@@ -346,7 +350,7 @@ class TestValidateMatchesPairByPair:
 
     def test_same_messages_on_the_empty_graph(self):
         g = build_graph(0, [])
-        s = PulseSchedule(0.0, 1.0, 0.48, 1, (PulseInterval(0, ((0, 1), (1, 0))),))
+        s = PulseSchedule(1e-6, 1.0, 0.48, 1, (PulseInterval(0, ((0, 1), (1, 0))),))
         assert validate_schedule(s, g) == reference_validate(s, g)
 
 
@@ -649,7 +653,8 @@ class TestWireFormatV2:
 
 
 class TestHeaderFloats:
-    """emit_schedule writes only header floats that parse_schedule reads back, and reads them back unchanged."""
+    """A schedule holds only a header that parse_schedule reads back, refusing any other with the parse message,
+    and emit_schedule writes it so that it reads back unchanged."""
 
     @pytest.mark.parametrize(
         "key,value",
@@ -666,22 +671,32 @@ class TestHeaderFloats:
             ("tau_s", -1.0, "tau_s must be a positive number, got -1.0"),
             ("tau_s", -0.0, "tau_s must be a positive number, got -0.0"),
             ("steps", -1, "steps must be a non-negative integer, got -1"),
+            ("tau_s", "x", "tau_s must be a positive number, got 'x'"),
+            ("flux_on", True, "flux_on must be a number, got True"),
+            ("flux_off", None, "flux_off must be a number, got None"),
+            ("steps", 1.5, "steps must be a non-negative integer, got 1.5"),
+            ("steps", True, "steps must be a non-negative integer, got True"),
         ],
-        ids=["tau_s-zero", "tau_s-negative", "tau_s-minus-zero", "steps-negative"],
+        ids=["tau_s-zero", "tau_s-negative", "tau_s-minus-zero", "steps-negative",
+             "tau_s-string", "flux_on-true", "flux_off-null", "steps-fraction", "steps-true"],
     )
     def test_unparsable_header_is_rejected_with_the_parse_message(self, key, value, message):
         assert self.messages(key, value) == [message] * 2
 
+    def test_replaced_header_is_checked_too(self):
+        s = PulseSchedule(1e-6, 1.0, 0.48, 1, (PulseInterval(0, ((0, 1),)),))
+        with pytest.raises(ValidationError, match=r"^tau_s must be a positive number, got -1\.0$"):
+            dataclasses.replace(s, tau_seconds=-1.0)
+
     @staticmethod
     def messages(key, value):
-        """The messages of emitting a schedule whose header has ``key`` set to ``value``, and of parsing one."""
+        """The messages of building a schedule whose header has ``key`` set to ``value``, and of parsing one."""
         fields = {"tau_s": 1e-6, "flux_on": 1.0, "flux_off": 0.48, "steps": 1, key: value}
-        s = PulseSchedule(*fields.values(), (PulseInterval(0, ((0, 1),)),))
-        with pytest.raises(ValidationError) as emitted:
-            emit_schedule(s)
+        with pytest.raises(ValidationError) as built:
+            PulseSchedule(*fields.values(), (PulseInterval(0, ((0, 1),)),))
         with pytest.raises(ValidationError) as parsed:
             parse_schedule(json.dumps({**HEADER_V2, key: value}))
-        return [str(emitted.value), str(parsed.value)]
+        return [str(built.value), str(parsed.value)]
 
     @pytest.mark.parametrize(
         "header", [(1e308, 1.0, 0.48), (5e-324, 1.0, 0.48), (1e-6, -0.0, 0.48), (1e-6, 1.0, -0.0), (1e-6, 0.0, 1e-300)]
