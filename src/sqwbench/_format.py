@@ -16,8 +16,9 @@ def fmt17(x: float) -> str:
 
 
 def json_float(x: float) -> str:
-    """:func:`fmt17` as a JSON number, but ``-0.0`` for negative zero: ``-0`` would load as the integer 0."""
-    return "-0.0" if repr(float(x)) == "-0.0" else fmt17(x)
+    """:func:`fmt17` as a JSON number that loads back as a float: ``1.0`` and ``-0.0``, not ``1`` and ``-0``."""
+    text = fmt17(x)
+    return text if "." in text or "e" in text else text + ".0"
 
 
 def _digits_before(k: int) -> int:

@@ -19,8 +19,6 @@ from collections.abc import Iterable
 from itertools import chain
 from pathlib import Path
 
-import numpy as np
-
 from ._format import distribution_rows, dumps_17g, fmt17
 from .circuit import (
     DEFAULT_PARAMS,
@@ -52,6 +50,7 @@ from .walk import (
     CONVENTION_ABSTRACT,
     CONVENTION_PHYSICAL,
     WalkConfig,
+    _probabilities,
     evolve,
     initial_basis_state,
     probability_distribution,
@@ -197,7 +196,7 @@ def cmd_walk(args) -> int:
     state = initial_basis_state(g.node_count, start)
     cfg = WalkConfig(theta=args.theta, steps=args.steps, convention=args.convention)
     rows = distribution_rows(g.node_count)
-    final = evolve(state, ts, cfg, graph=g, on_step=lambda k, psi: rows.keep(np.abs(psi) ** 2))  # checked on exit
+    final = evolve(state, ts, cfg, graph=g, on_step=lambda k, psi: rows.keep(_probabilities(psi)))  # checked on exit
     _guarded_write(out / "distribution.csv", rows, args.force)  # each step's text is formatted as it is written
 
     metadata = {

@@ -117,9 +117,9 @@ def _as_state(state) -> np.ndarray:
 def local_unitary(state, t: Tessellation, cfg: WalkConfig) -> np.ndarray:
     """Apply exp(i*theta*H) for one tessellation of the state's nodes.
 
-    Returns cos(theta)*psi + i*sin(theta)*H psi, with H psi gathered
-    through the tessellation's swap permutation; singletons get
-    exp(i*theta) under the abstract convention and 1 under the physical one.
+    Returns cos(theta)*psi + i*sin(theta)*H psi, with H psi gathered through the tessellation's swap permutation.
+    H fixes singletons, so that gives them exp(i*theta), the abstract convention; the physical one restores them.
+    One arithmetic rule: plain float64 products (each complex factor has a zero part), alike in every SIMD loop.
     Any state but a ``_Checked`` view is checked and copied into one, so the input is never written; the formula
     then runs in place on that view (see :class:`_Checked`), inside its window if it has one.
     """
@@ -137,13 +137,8 @@ def local_unitary(state, t: Tessellation, cfg: WalkConfig) -> np.ndarray:
     gathered = np.take(psi, partner[lo:hi], out=out[lo:hi], mode="wrap")
     np.multiply(1j * s, gathered, out=gathered)
     gathered += np.multiply(c, psi[lo:hi], out=psi[lo:hi])
-    # H fixes singletons, so the formula gave them c*psi + i*s*psi; restore them, and for the abstract phase
-    # take one in-place complex product, which can round differently from that sum.  Both run on every
-    # singleton, in or out of the window: numpy's complex product rounds an element by where it falls in its
-    # SIMD loop, so a product over fewer elements can change the last bits
-    out[t.singletons] = kept
-    if cfg.convention == CONVENTION_ABSTRACT:
-        out[t.singletons] *= complex(c, s)
+    if cfg.convention == CONVENTION_PHYSICAL:  # H fixes singletons, so the formula gave them exp(i*theta)*psi
+        out[t.singletons] = kept
     return out
 
 
@@ -163,9 +158,8 @@ def evolve(state, ts: TessellationSet, cfg: WalkConfig, graph: Graph, on_step=No
     call computes only inside the light cone: the input's live span (a -0.0 part is live), widened
     before each call by the tessellation's reach (its longest pair, high - low).  Windows only grow,
     so both arrays are +0.0 outside the next one, whatever array the kernel returned.
-    Amplitudes outside the window are exactly +0.0+0.0j, as the full formula would leave them; only
-    the abstract phase exp(i*theta) with cos(theta) < 0 turns +0 into -0, so there the window
-    is the whole state from the start.
+    Amplitudes outside the window are exactly +0.0+0.0j, as the full formula leaves them: in each
+    part of cos(theta)*0 + i*sin(theta)*0 one term is +0.0, so the sum is +0.0 whatever the signs.
     """
     psi = _as_state(state)
     n = psi.shape[0]
@@ -180,10 +174,7 @@ def evolve(state, ts: TessellationSet, cfg: WalkConfig, graph: Graph, on_step=No
         on_step(0, psi)
     psi = psi.copy()  # the working array, which local_unitary overwrites through its _Checked view
     spare = np.zeros_like(psi)  # zero bytes, so its part outside every window is +0.0 already
-    if cfg.convention == CONVENTION_ABSTRACT and math.cos(cfg.theta) < 0:
-        lo, hi = 0, n
-    else:
-        lo, hi = _live_span(psi)
+    lo, hi = _live_span(psi)
     for step in range(1, cfg.steps + 1):
         for t in tessellations:
             lo, hi = max(lo - reach[id(t)], 0), min(hi + reach[id(t)], n)
@@ -195,10 +186,14 @@ def evolve(state, ts: TessellationSet, cfg: WalkConfig, graph: Graph, on_step=No
     return _as_state(psi)
 
 
+def _probabilities(psi: np.ndarray) -> np.ndarray:
+    """|psi|^2 as re*re + im*im of the float64 parts: plain products, alike in every SIMD loop (np.abs is not)."""
+    return psi.real * psi.real + psi.imag * psi.imag
+
+
 def probability_distribution(state) -> np.ndarray:
     """Node-occupation probabilities |amplitude|^2 of a unit-norm state."""
-    psi = _as_state(state)
-    return np.abs(psi) ** 2
+    return _probabilities(_as_state(state))
 
 
 def spread_statistics(history, origin: int) -> np.ndarray:

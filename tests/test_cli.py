@@ -10,6 +10,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from itertools import zip_longest
 from pathlib import Path
 
@@ -321,7 +322,7 @@ class TestGreedyGraphFiles:
         ),
         "cycle7.json": (  # 3 rounds for maximum degree 2, with the warning
             json.dumps({"nodes": 7, "edges": [[i, (i + 1) % 7] for i in range(7)]}),
-            "b21ed394918fca56b213ed51550d99063a75d3958c9161fffed3e32ee9953f08",
+            "09a2117640b95fb703d4fd64997ec51d95859d63ad2125e36baefd4df976756f",
             "e43c80f3ef831bb2f22118f7578db883838e874c85502af4c73ed3fd195fe57e",
         ),
         "k55.json": (  # 6 rounds for maximum degree 5, with the warning
@@ -977,6 +978,81 @@ class TestReadmeExamples:
     def test_mismatch_names_the_first_differing_line(self, edit, message):
         name = "sched/schedule.json"
         assert first_difference(name, edit((GOLDEN / name).read_bytes())) == f"{name}: {message}"
+
+
+def dispatch_levels() -> list[str]:
+    """The CPU features numpy dispatches to and this machine has, in numpy's order, lowest level first."""
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        from numpy._core import _multiarray_umath
+    else:
+        from numpy.core import _multiarray_umath
+    return [f for f in _multiarray_umath.__cpu_dispatch__ if _multiarray_umath.__cpu_features__.get(f)]
+
+
+# the golden commands, then each pinned greedy walk in its own directory; prints each output's sha256 by its path
+SIMD_CHILD = """
+import contextlib, hashlib, io, json, os, sys, tempfile, warnings
+from pathlib import Path
+from regen_golden import run_examples
+from sqwbench.cli import main
+
+graphs = json.load(sys.stdin)
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    here = Path(tmp)
+    failed = run_examples(here)
+    os.chdir(here)  # run.json records the graph path as given
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # greedy's "needed k tessellations"
+        for name, text in graphs.items():
+            Path(name).write_text(text)
+            if main(["walk", "--graph", name, "--steps", "3", "--out", "greedy/" + name]) != 0:
+                failed.append(name)
+    outputs = [p for d in ("runs", "greedy") for p in sorted((here / d).rglob("*")) if p.is_file()]
+    digests = {p.relative_to(here).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs}
+print(json.dumps({"failed": failed, "digests": digests}))
+"""
+
+
+class TestSimdLevels:
+    """The golden outputs and the pinned greedy walks have the same bytes with numpy held to each lower SIMD level.
+
+    Each level runs in a child process with ``NPY_DISABLE_CPU_FEATURES`` naming that level and every one above it;
+    the default level is the test process's own, pinned by ``TestReadmeExamples`` and ``TestGreedyGraphFiles``.
+    """
+
+    def test_same_bytes_at_every_dispatch_level(self):
+        levels = dispatch_levels()
+        if not levels:
+            pytest.skip("numpy dispatches to no CPU feature here, so it has no lower level to be held to")
+        expected = {f"runs/{name}": digest for name, digest in golden_digests().items()}
+        graphs = {}
+        for name, (text, *digests) in TestGreedyGraphFiles.PINNED.items():
+            graphs[name] = text
+            expected.update({f"greedy/{name}/{out}": d for out, d in zip(["distribution.csv", "run.json"], digests)})
+        paths = [str(Path(sqwbench.__file__).parents[1]), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        held = os.environ.get("NPY_DISABLE_CPU_FEATURES")  # the features this process already runs without
+        settings = [" ".join(filter(None, [*levels[k:], held])) for k in range(len(levels))]
+
+        def child(disabled):
+            return subprocess.run(
+                [sys.executable, "-c", SIMD_CHILD],
+                input=json.dumps(graphs),
+                capture_output=True,
+                text=True,
+                env={**env, "NPY_DISABLE_CPU_FEATURES": disabled},
+                timeout=120,
+            )
+
+        with ThreadPoolExecutor(len(settings)) as pool:  # all at once, each a small single-threaded process
+            runs = dict(zip(settings, pool.map(child, settings)))
+        for disabled, run in runs.items():
+            assert run.returncode == 0, f"NPY_DISABLE_CPU_FEATURES={disabled!r}: {run.stderr}"
+            result = json.loads(run.stdout)
+            assert result["failed"] == [], f"NPY_DISABLE_CPU_FEATURES={disabled!r}"
+            names = expected.keys() | result["digests"].keys()
+            differ = sorted(name for name in names if result["digests"].get(name) != expected.get(name))
+            assert differ == [], f"NPY_DISABLE_CPU_FEATURES={disabled!r}: these outputs differ: {differ}"
 
 
 class TestHelp:

@@ -181,16 +181,18 @@ class TestDumps17g:
     def test_floats_at_17_digits(self):
         payload = {"theta": 0.9, "flux_on": 1.0, "kappa": -1028097731.7831001, "tiny": 5e-324, "n": 3}
         assert dumps_17g(payload) == (
-            '{\n  "theta": 0.90000000000000002,\n  "flux_on": 1,\n  "kappa": -1028097731.7831001,\n'
+            '{\n  "theta": 0.90000000000000002,\n  "flux_on": 1.0,\n  "kappa": -1028097731.7831001,\n'
             '  "tiny": 4.9406564584124654e-324,\n  "n": 3\n}'
         )
 
     def test_negative_zero_reads_back_as_a_negative_float(self):
-        assert dumps_17g({"theta": -0.0, "zero": 0.0}) == '{\n  "theta": -0.0,\n  "zero": 0\n}'
+        assert dumps_17g({"theta": -0.0, "zero": 0.0}) == '{\n  "theta": -0.0,\n  "zero": 0.0\n}'
         theta = json.loads(dumps_17g({"theta": -0.0}))["theta"]
         assert type(theta) is float and math.copysign(1.0, theta) == -1.0
 
     @settings(max_examples=200, deadline=None)
     @given(st.dictionaries(st.text(), st.none() | st.booleans() | st.integers() | st.text() | finite, min_size=1))
     def test_round_trip(self, payload):
-        assert json.loads(dumps_17g(payload)) == payload
+        loaded = json.loads(dumps_17g(payload))
+        assert loaded == payload
+        assert [type(v) for v in loaded.values()] == [type(v) for v in payload.values()]  # 1.0 is not read as 1

@@ -80,7 +80,9 @@ def reference_emit_v2(s):
     }
     text = json.dumps(payload, indent=2)
     for key, x in floats.items():
-        text = text.replace(f'"<{key}>"', fmt17(x))
+        digits = fmt17(x)
+        # an integral text gets ".0", so the value loads back as a float
+        text = text.replace(f'"<{key}>"', digits + ".0" if digits.lstrip("-").isdigit() else digits)
     lines = [json.dumps([[int(i), int(j)] for i, j in pattern]) for pattern in table]
     patterns = "[\n" + ",\n".join("    " + line for line in lines) + "\n  ]" if lines else "[]"
     text = text.replace('"<patterns>"', patterns).replace('"<intervals>"', json.dumps(entries))
