@@ -436,6 +436,14 @@ class TestStateHelpers:
         p = probability_distribution(psi)
         assert np.max(np.abs(p - 0.5)) < 1e-15
 
+    def test_probability_distribution_is_re_squared_plus_im_squared(self):
+        # Python's float products round once each, in no SIMD loop: np.abs(psi) ** 2 differs in most elements
+        rng = np.random.default_rng(5)
+        psi = rng.normal(size=997) + 1j * rng.normal(size=997)
+        psi /= np.linalg.norm(psi)
+        want = np.array([z.real * z.real + z.imag * z.imag for z in psi.tolist()])
+        assert probability_distribution(psi).tobytes() == want.tobytes()
+
     def test_probability_requires_unit_norm(self):
         with pytest.raises(ValidationError):
             probability_distribution(np.array([2.0, 0.0]))
@@ -607,6 +615,21 @@ class TestKernelBits:
                 assert local_unitary(psi, t, cfg).tobytes() == want
                 assert psi.tobytes() == before  # a plain array is never written
                 assert local_unitary(psi.copy().view(walk._Checked), t, cfg).tobytes() == want
+
+    @pytest.mark.parametrize("convention", [CONVENTION_ABSTRACT, CONVENTION_PHYSICAL])
+    def test_singletons_in_python_floats(self, convention):
+        # abstract: (c + i*s)(a + i*b) as one float product per term; physical: the input's own bytes
+        t = KERNEL_TESSELLATIONS["interior-singletons"][0]
+        rng = np.random.default_rng(3)
+        psi = rng.normal(size=10) + 1j * rng.normal(size=10)
+        psi /= np.linalg.norm(psi)
+        for theta in KERNEL_THETAS:
+            c, s = math.cos(theta), math.sin(theta)
+            out = local_unitary(psi, t, WalkConfig(theta, convention=convention))
+            for k in t.singletons.tolist():
+                a, b = psi[k].real, psi[k].imag
+                want = complex(c * a - s * b, s * a + c * b) if convention == CONVENTION_ABSTRACT else psi[k]
+                assert np.array([out[k]]).tobytes() == np.array([want]).tobytes()
 
     @pytest.mark.parametrize("theta", KERNEL_THETAS)
     @pytest.mark.parametrize("convention", [CONVENTION_ABSTRACT, CONVENTION_PHYSICAL])
